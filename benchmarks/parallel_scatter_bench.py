@@ -15,9 +15,8 @@ Two configurations are measured:
   parallel router overlaps them and approaches the *slowest single shard*
   (the acceptance target: parallel wall ≤ 1.4x slowest shard).
 * **in-process only** — no realtime waits, pure CPU.  Reported for honesty:
-  on a single-core host pure-Python scans serialize on the GIL, so thread
-  mode shows no CPU speedup there (``executor_mode="process"`` exists for
-  multi-core hosts).
+  pure-Python scans serialize on the GIL, so thread mode shows no CPU
+  speedup there.
 
 The observed numbers are recorded in
 ``benchmarks/results/parallel_scatter_before_after.txt`` and, machine

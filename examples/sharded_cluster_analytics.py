@@ -123,17 +123,18 @@ def run_cluster_demo(cluster: ShardedCluster, profile, generator) -> None:
         .sort([("ss_sales_price", -1), ("ss_ticket_number", 1)])
         .limit(5)
     )
-    explain = top_sales.explain()["queryPlanner"]
+    explain = top_sales.explain()
+    planner = explain["queryPlanner"]
     rows = top_sales.to_list()
     pushdown_metrics = cluster.router.metrics.snapshot()
     print(
         render_table(
             ["metric", "value"],
             [
-                ["plan", explain["winningPlan"]["stage"]],
-                ["merge", explain["sortMode"]],
-                ["per-shard limit pushed", explain["winningPlan"]["pushdown"]["limit"]],
-                ["projection pushed", explain["winningPlan"]["pushdown"]["projection"]],
+                ["plan", planner["winningPlan"]["stage"]],
+                ["merge", planner["sortMode"]],
+                ["per-shard limit pushed", planner["winningPlan"]["pushdown"]["limit"]],
+                ["projection pushed", planner["winningPlan"]["pushdown"]["projection"]],
                 ["documents shipped", pushdown_metrics["documents_shipped"]],
                 ["bytes shipped", pushdown_metrics["bytes_shipped"]],
                 ["result rows", len(rows)],
@@ -141,14 +142,14 @@ def run_cluster_demo(cluster: ShardedCluster, profile, generator) -> None:
             title="Sorted+limited broadcast find with shard-side pushdown",
         )
     )
-    shard_plan = next(iter(explain["winningPlan"]["shards"].values()))
+    shard_plan = next(iter(explain["shards"].values()))["queryPlanner"]
     print(
         "per-shard plan:",
         shard_plan["winningPlan"]["stage"],
         "/ sort mode",
         shard_plan["sortMode"],
         "/ shard-local limit",
-        shard_plan["findSpec"]["limit"],
+        shard_plan["spec"]["limit"],
     )
 
     # ------------------------------------------------------------- Query 50

@@ -41,7 +41,12 @@ from .errors import (
     InvalidDocumentError,
     OperationFailure,
 )
-from .explain import build_execution_stats, build_explain, validate_verbosity
+from .explain import (
+    build_execution_stats,
+    build_explain,
+    explain_target,
+    validate_verbosity,
+)
 from .findspec import FindSpec
 from .indexes import ASCENDING, Index, IndexSpec
 from .matching import compile_matcher, resolve_path, values_equal
@@ -476,6 +481,8 @@ class Collection:
     def _plan_find(self, spec: FindSpec) -> QueryPlan:
         indexes = self._live_indexes()
         hint = spec.hint
+        if hint is not None and not isinstance(hint, str):
+            hint = self._index_name_for_key_pattern(hint)
         if hint is not None and hint not in indexes and hint in self._indexes:
             # The hinted index exists but is hidden (deferred by bulk_load or
             # pending a build): plan without the hint rather than erroring.
@@ -488,6 +495,17 @@ class Collection:
             hint=hint,
             fetch_bound=spec.fetch_bound,
         )
+
+    def _index_name_for_key_pattern(self, pattern: Any) -> str:
+        """The name of the index whose key pattern a hint such as ``{"g": 1}`` names."""
+        try:
+            keys = IndexSpec.from_key_specification(pattern).keys
+        except (TypeError, ValueError):
+            keys = None
+        for name, index in self._indexes.items():
+            if index.spec.keys == keys:
+                return name
+        raise OperationFailure(f"hint {pattern!r} does not match an index")
 
     @staticmethod
     def _emit(document: Mapping[str, Any], projection: Mapping[str, Any] | None) -> dict[str, Any]:
@@ -569,25 +587,6 @@ class Collection:
         for document in selected:
             yield self._emit(document, spec.projection)
 
-    def explain_find(self, spec: FindSpec) -> dict[str, Any]:
-        """The plan for *spec*: access path, sort strategy, and the spec."""
-        plan = self._plan_find(spec)
-        if not spec.sort:
-            sort_mode = None
-        elif plan.sort_served:
-            sort_mode = "indexOrder"
-        elif spec.fetch_bound is not None:
-            sort_mode = "topK"
-        else:
-            sort_mode = "sortMaterialize"
-        return {
-            "queryPlanner": {
-                "winningPlan": plan.describe(),
-                "sortMode": sort_mode,
-                "findSpec": spec.describe(),
-            }
-        }
-
     def find(
         self,
         query: Mapping[str, Any] | None = None,
@@ -597,7 +596,7 @@ class Collection:
         skip: int = 0,
         limit: int = 0,
         batch_size: int | None = None,
-        hint: str | None = None,
+        hint: str | Mapping[str, Any] | Sequence[Any] | None = None,
     ) -> Cursor:
         """Return a lazy cursor over the documents matching *query*.
 
@@ -614,7 +613,7 @@ class Collection:
             batch_size=batch_size,
             hint=hint,
         )
-        return Cursor(self._execute_find, spec=spec, explain=self.explain_find)
+        return Cursor(self._execute_find, spec=spec, explain=self.explain)
 
     def find_one(
         self,
@@ -651,7 +650,7 @@ class Collection:
         *,
         verbosity: str = "queryPlanner",
     ) -> dict[str, Any]:
-        """The unified explain entry point (schema v1, see ``explain.py``).
+        """Explain a find or an aggregation (schema v1, see ``explain.py``).
 
         *query_or_pipeline* is a find filter (mapping or ``None``), a
         complete :class:`FindSpec`, or an aggregation pipeline (sequence of
@@ -662,56 +661,47 @@ class Collection:
         ``RemoteCollection``.
         """
         validate_verbosity(verbosity)
-        if isinstance(query_or_pipeline, Sequence) and not isinstance(
-            query_or_pipeline, (str, bytes)
-        ):
-            return self._explain_pipeline(list(query_or_pipeline), verbosity)
-        if isinstance(query_or_pipeline, FindSpec):
-            spec = query_or_pipeline
-        else:
-            spec = FindSpec(filter=query_or_pipeline)
-        return self._explain_spec(spec, verbosity)
-
-    def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
-        legacy = self.explain_find(spec)["queryPlanner"]
-        execution_stats = None
-        if verbosity == "executionStats":
-            n_returned = sum(1 for _document in self._execute_find(spec))
-            execution_stats = build_execution_stats(n_returned=n_returned)
-        return build_explain(
-            surface="standalone",
-            operation="find",
-            verbosity=verbosity,
-            namespace=self.full_name,
-            winning_plan=legacy["winningPlan"],
-            sort_mode=legacy["sortMode"],
-            spec=legacy["findSpec"],
-            execution_stats=execution_stats,
-        )
-
-    def _explain_pipeline(
-        self, pipeline: Sequence[Mapping[str, Any]], verbosity: str
-    ) -> dict[str, Any]:
-        counters: list[StageStats] = []
-        plan, results = self._execute_pipeline(
-            pipeline, counters=counters, suppress_out=True
-        )
-        plan = plan.with_pipeline_stages([stats.as_dict() for stats in counters])
-        execution_stats = None
-        if verbosity == "executionStats":
-            execution_stats = build_execution_stats(
-                n_returned=len(results),
-                stages=[stats.as_dict() for stats in counters],
+        wants_stats = verbosity == "executionStats"
+        target = explain_target(query_or_pipeline)
+        if isinstance(target, FindSpec):
+            plan = self._plan_find(target)
+            if not target.sort:
+                sort_mode = None
+            elif plan.sort_served:
+                sort_mode = "indexOrder"
+            elif target.fetch_bound is not None:
+                sort_mode = "topK"
+            else:
+                sort_mode = "sortMaterialize"
+            execution_stats = None
+            if wants_stats:
+                n_returned = sum(1 for _document in self._execute_find(target))
+                execution_stats = build_execution_stats(n_returned=n_returned)
+            return build_explain(
+                surface="standalone",
+                operation="find",
+                verbosity=verbosity,
+                namespace=self.full_name,
+                winning_plan=plan.describe(),
+                sort_mode=sort_mode,
+                spec=target.describe(),
+                execution_stats=execution_stats,
             )
+        # Aggregation plans carry per-stage counters, so even the
+        # queryPlanner verbosity runs the pipeline (never writing $out).
+        counters: list[StageStats] = []
+        plan, results = self._execute_pipeline(target, counters=counters, suppress_out=True)
+        stages = [stats.as_dict() for stats in counters]
         return build_explain(
             surface="standalone",
             operation="aggregate",
             verbosity=verbosity,
             namespace=self.full_name,
-            winning_plan=plan.describe(),
-            sort_mode=None,
-            spec={"pipeline": [dict(stage) for stage in pipeline]},
-            execution_stats=execution_stats,
+            winning_plan=plan.with_pipeline_stages(stages).describe(),
+            spec={"pipeline": [dict(stage) for stage in target]},
+            execution_stats=build_execution_stats(n_returned=len(results), stages=stages)
+            if wants_stats
+            else None,
         )
 
     # --------------------------------------------------------------- updates
@@ -1076,7 +1066,7 @@ class Collection:
         counters: list[StageStats] | None = None,
         suppress_out: bool = False,
     ) -> tuple[QueryPlan, list[dict[str, Any]]]:
-        """Shared core of :meth:`aggregate` and the explain surfaces."""
+        """Shared core of :meth:`aggregate` and :meth:`explain`."""
         optimized = optimize_pipeline(pipeline)
         if optimized and "$vectorSearch" in optimized[0]:
             plan, source, vector_stats = self._vector_search_source(
@@ -1125,23 +1115,6 @@ class Collection:
         _plan, results = self._execute_pipeline(pipeline, counters=counters)
         return results
 
-    def explain_aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-        """Deprecated alias: use ``explain(pipeline, verbosity=...)``.
-
-        Kept for callers of the historical shape — the winning plan of the
-        leading ``$match``/``$vectorSearch`` plus per-stage counters.  A
-        trailing ``$out`` is *not* written during explain.
-        """
-        counters: list[StageStats] = []
-        plan, _results = self._execute_pipeline(
-            pipeline, counters=counters, suppress_out=True
-        )
-        plan = plan.with_pipeline_stages([stats.as_dict() for stats in counters])
-        return {
-            "queryPlanner": {"winningPlan": plan.describe()},
-            "executionStats": {"stages": [stats.as_dict() for stats in counters]},
-        }
-
     # ------------------------------------------------------------- iteration
 
     def all_documents(self) -> Iterator[dict[str, Any]]:
@@ -1157,19 +1130,6 @@ class Collection:
         returned documents.
         """
         yield from self._documents.values()
-
-    def find_with_options(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        sort: Sequence[tuple[str, int]] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-    ) -> list[dict[str, Any]]:
-        """One-shot find over the spec executor (used by the sharded router)."""
-        return self.find(
-            query, projection, sort=sort, skip=skip, limit=limit
-        ).to_list()
 
     def execute_find(self, spec: FindSpec) -> list[dict[str, Any]]:
         """Execute a complete spec in one shot (the shard-side entry point)."""

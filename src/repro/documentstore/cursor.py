@@ -93,17 +93,18 @@ class Cursor:
 
     The cursor owns a :class:`FindSpec` and two executor callables.
     ``execute(spec)`` must return an iterable of final result documents
-    (already filtered, sorted, sliced, and projected); ``explain(spec)``
-    must return the executor's plan for the spec.  Execution is deferred
-    until the first document is requested; consumed documents are cached so
-    a cursor can be iterated more than once without re-executing.
+    (already filtered, sorted, sliced, and projected); ``explain`` is the
+    owning collection's ``explain``, called with the spec.  Execution is
+    deferred until the first document is requested; consumed documents are
+    cached so a cursor can be iterated more than once without re-executing.
     """
 
     def __init__(
         self,
         execute: Callable[[FindSpec], Iterable[dict[str, Any]]],
         spec: FindSpec | None = None,
-        explain: Callable[[FindSpec], dict[str, Any]] | None = None,
+        *,
+        explain: Callable[[FindSpec], dict[str, Any]],
     ) -> None:
         self._execute = execute
         self._explain = explain
@@ -142,9 +143,9 @@ class Cursor:
         self._chain(self._spec.with_batch_size(count))
         return self
 
-    def hint(self, index_name: str) -> "Cursor":
-        """Force the planner to use the index called *index_name*."""
-        self._chain(self._spec.with_hint(index_name))
+    def hint(self, index: str | Mapping[str, Any] | Sequence[Any]) -> "Cursor":
+        """Force the planner to use *index*: a name or a key pattern like ``{"g": 1}``."""
+        self._chain(self._spec.with_hint(index))
         return self
 
     def _chain(self, spec: FindSpec) -> None:
@@ -217,9 +218,7 @@ class Cursor:
         return len(self._materialize())
 
     def explain(self) -> dict[str, Any]:
-        """Return the executor's plan for this cursor's spec."""
-        if self._explain is None:
-            raise OperationFailure("this cursor's executor does not support explain")
+        """``collection.explain(cursor.spec)``: the schema-v1 plan of this cursor."""
         return self._explain(self._spec)
 
 

@@ -1,18 +1,16 @@
-"""The unified ``explain()`` schema shared by every query surface.
+"""The one ``explain()`` schema shared by every query surface.
 
-Before this module each surface grew its own explain shape —
-``Cursor.explain()``, ``Collection.explain_find`` /
-``explain_aggregate``, and the router's variants all returned similar
-but differently-keyed documents.  The redesigned entry point is one
-method everywhere::
+Every surface answers the same call::
 
     collection.explain(query_or_pipeline, verbosity="queryPlanner")
 
-available with the same signature — and the same document shape — on a
-stand-alone :class:`~repro.documentstore.collection.Collection`, a
-sharded ``RoutedCollection``, and a served ``RemoteCollection``.  The
-old names survive as thin deprecated aliases returning their historical
-shapes.
+on a stand-alone :class:`~repro.documentstore.collection.Collection`, a
+sharded ``RoutedCollection`` and a served ``RemoteCollection``, and every
+find cursor's ``cursor.explain()`` returns ``collection.explain(cursor.spec)``.
+*query_or_pipeline* is a filter (mapping or ``None``), a complete
+:class:`~repro.documentstore.findspec.FindSpec`, or an aggregation pipeline
+(sequence of stages); :func:`explain_target` is the one place that tells
+them apart.
 
 Schema (version 1)::
 
@@ -29,17 +27,21 @@ Schema (version 1)::
                                   # streamingKWayMerge/None
         "spec": {...},            # the find spec, or {"pipeline": [...]}
       },
-      "shards": {shard_id: {...}},  # per-shard plans ({} standalone)
+      "shards": {shard_id: {...}},  # per-shard explains ({} standalone)
       # present if and only if verbosity == "executionStats":
       "executionStats": {
         "nReturned": int,
         "stages": [{...}],          # per-stage counters ([] for finds)
-        "shards": {shard_id: {...}},  # per-shard runtime stats
+        "shards": {shard_id: {...}},  # per-shard branch timings
+        # sharded only: "executorMode", "parallelSeconds", "timedOutShards"
       },
     }
 
-Every key above is present on every surface for the same operation and
-verbosity — that shape identity is asserted by the parity tests.
+On a sharded surface each ``shards[shard_id]`` entry is that shard
+collection's own stand-alone explain (this same schema, at the same
+verbosity) of the part the router sends it: the pushed-down find spec or
+the shard-side pipeline stages.  ``executionStats.shards`` holds the
+queue / dispatch / execute / ship timings of the explain's own scatter.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 from .errors import OperationFailure
+from .findspec import FindSpec
 
 __all__ = [
     "EXPLAIN_VERSION",
@@ -55,6 +58,7 @@ __all__ = [
     "PLANNER_KEYS",
     "EXECUTION_KEYS",
     "validate_verbosity",
+    "explain_target",
     "build_explain",
     "build_execution_stats",
 ]
@@ -79,6 +83,19 @@ def validate_verbosity(verbosity: str) -> str:
             f"(expected one of {', '.join(VERBOSITIES)})"
         )
     return verbosity
+
+
+def explain_target(
+    query_or_pipeline: Mapping[str, Any] | Sequence[Mapping[str, Any]] | FindSpec | None,
+) -> FindSpec | list[Mapping[str, Any]]:
+    """The find spec or the pipeline (as a list of stages) an explain covers."""
+    if isinstance(query_or_pipeline, FindSpec):
+        return query_or_pipeline
+    if isinstance(query_or_pipeline, Sequence) and not isinstance(
+        query_or_pipeline, (str, bytes)
+    ):
+        return list(query_or_pipeline)
+    return FindSpec(filter=query_or_pipeline)
 
 
 def build_execution_stats(

@@ -26,7 +26,8 @@ class FindSpec:
 
     ``limit=None`` means unbounded; ``sort`` is a normalized tuple of
     ``(field, direction)`` pairs or ``None``; ``hint`` names an index the
-    planner must use (or ``None`` for automatic selection).
+    planner must use, by name or by key pattern (``{"g": 1}`` or
+    ``[("g", 1)]``), or is ``None`` for automatic selection.
     """
 
     filter: Mapping[str, Any] | None = None
@@ -35,7 +36,7 @@ class FindSpec:
     skip: int = 0
     limit: int | None = None
     batch_size: int | None = None
-    hint: str | None = None
+    hint: str | Mapping[str, Any] | Sequence[Any] | None = None
 
     @classmethod
     def create(
@@ -46,7 +47,7 @@ class FindSpec:
         skip: int = 0,
         limit: int | None = None,
         batch_size: int | None = None,
-        hint: str | None = None,
+        hint: str | Mapping[str, Any] | Sequence[Any] | None = None,
     ) -> "FindSpec":
         """Build a validated spec from the flexible forms ``find()`` accepts."""
         spec = cls(filter=filter, projection=projection)
@@ -90,9 +91,9 @@ class FindSpec:
             raise OperationFailure("batch_size must be positive")
         return replace(self, batch_size=count)
 
-    def with_hint(self, index_name: str) -> "FindSpec":
-        """Return a copy forcing the planner to use *index_name*."""
-        return replace(self, hint=index_name)
+    def with_hint(self, index: str | Mapping[str, Any] | Sequence[Any]) -> "FindSpec":
+        """Return a copy forcing the planner to use *index* (name or key pattern)."""
+        return replace(self, hint=index)
 
     # -- derived specs -------------------------------------------------------
 

@@ -34,7 +34,7 @@ import pathlib
 import re
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from .bson import decode_document
 from .errors import DuplicateKeyError, IndexNotFoundError, RecoveryError
@@ -165,18 +165,12 @@ def apply_record(client: "DocumentStoreClient", record: dict[str, Any]) -> int:
             collection.delete_many({"_id": {"$in": list(ids)}})
         return len(ids)
     if op == "create_index":
-        spec = record.get("spec")
-        if isinstance(spec, Mapping):
-            # Structured spec (current WAL format): round-trips btree and
-            # vector indexes alike through IndexSpec.from_key_specification.
-            collection.create_index(spec)
-        else:
-            # Legacy record written before structured index specs existed.
-            collection.create_index(
-                [tuple(pair) for pair in record.get("keys") or []],
-                unique=bool(record.get("unique")),
-                name=str(record.get("name") or ""),
-            )
+        # Current records carry a structured spec; legacy ones carry its
+        # keys, unique flag and name at the top level.
+        collection.create_index(
+            record.get("spec")
+            or {field: record[field] for field in ("keys", "unique", "name") if field in record}
+        )
         return 0
     if op == "drop_index":
         try:

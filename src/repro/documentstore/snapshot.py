@@ -258,18 +258,8 @@ def load_snapshot(
         )
         with collection.bulk_load():
             for name, info in index_specs.items():
-                if "type" in info:
-                    # Structured spec (current manifests) — pass it through
-                    # unchanged so vector indexes rebuild with dims/metric.
-                    collection.create_index(info, defer=True)
-                else:
-                    # Legacy manifest entry: bare keys + unique flag.
-                    collection.create_index(
-                        [tuple(pair) for pair in info["keys"]],
-                        unique=bool(info.get("unique")),
-                        name=str(name),
-                        defer=True,
-                    )
+                # Structured specs and legacy {keys, unique} entries alike.
+                collection.create_index(info, name=str(name), defer=True)
             batch: list[dict[str, Any]] = []
             for _ in range(count):
                 batch.append(decode_document(next(lines)))

@@ -34,9 +34,8 @@ class ShardedCluster:
 
     ``executor_mode`` selects how the router executes scatter fan-outs:
     ``"thread"`` (default) dispatches every target shard concurrently on a
-    worker-thread pool, ``"serial"`` keeps the sequential one-shard-at-a-time
-    baseline, and ``"process"`` additionally runs eligible read scans in a
-    forked process pool (see :mod:`repro.sharding.executor`).
+    worker-thread pool, and ``"serial"`` keeps the sequential
+    one-shard-at-a-time baseline (see :mod:`repro.sharding.executor`).
     ``scatter_policy`` sets the default per-operation deadline and timeout
     policy for every routed operation.
 

@@ -8,8 +8,8 @@ deployment (Figure 3.1).  For every operation it:
    (*broadcast*, the expensive case called out in Section 4.3);
 2. dispatches the command to **every target shard simultaneously** through
    the cluster's :class:`~repro.sharding.executor.ScatterRunner` (worker
-   threads by default, an opt-in forked process pool for CPU-bound read
-   scans, or an inline serial mode kept as the measurable baseline);
+   threads by default, or an inline serial mode kept as the measurable
+   baseline);
 3. gathers the per-shard results — streaming them for ``find``, so the
    k-way merge starts before the slowest shard finishes — and merges them
    (and, for aggregation, runs the merge part of the pipeline) before
@@ -47,7 +47,12 @@ from ..documentstore.cursor import (
     UpdateResult,
     project_document,
 )
-from ..documentstore.explain import build_execution_stats, build_explain, validate_verbosity
+from ..documentstore.explain import (
+    build_execution_stats,
+    build_explain,
+    explain_target,
+    validate_verbosity,
+)
 from ..documentstore.findspec import FindSpec
 from ..documentstore.objectid import ObjectId
 from ..documentstore.ordering import document_sort_key
@@ -55,7 +60,6 @@ from .chunks import Chunk, ChunkManager
 from .config_server import ConfigServer
 from .executor import (
     FirstMatchClaim,
-    RemoteOperation,
     ScatterOutcome,
     ScatterPending,
     ScatterPolicy,
@@ -191,18 +195,18 @@ class QueryRouter:
         self._shards = {shard.shard_id: shard for shard in shards}
         self.metrics = RouterMetrics()
         self.scatter_policy = scatter_policy or ScatterPolicy()
-        self._runner = ScatterRunner(executor_mode, max_workers, shards=self._shards)
+        self._runner = ScatterRunner(executor_mode, max_workers)
         self._metrics_lock = threading.Lock()
-        #: Per-shard timing breakdown of the most recent scatter (see
-        #: ``explain_find(execution_stats=True)``).  Debugging aid only —
-        #: concurrent client threads overwrite it.
+        #: Per-shard timing breakdown of the most recent scatter of any
+        #: operation.  Debugging aid only — concurrent client threads
+        #: overwrite it; ``explain`` reports its own scatter instead.
         self.last_scatter_report: dict[str, Any] | None = None
 
     # ------------------------------------------------------------ infrastructure
 
     @property
     def executor_mode(self) -> str:
-        """The scatter execution mode ("serial", "thread", or "process")."""
+        """The scatter execution mode ("serial" or "thread")."""
         return self._runner.mode
 
     def shard(self, shard_id: str) -> Shard:
@@ -230,7 +234,7 @@ class QueryRouter:
             shard.reset_accounting()
 
     def close(self) -> None:
-        """Shut down the scatter worker pool (and any forked snapshot pool)."""
+        """Shut down the scatter worker pool."""
         self._runner.close()
 
     # --------------------------------------------------------------- target choice
@@ -311,27 +315,19 @@ class QueryRouter:
         *,
         ship_results: bool = True,
         response_batch_size: int | None = None,
-        remote: Callable[[str], RemoteOperation] | None = None,
         policy: ScatterPolicy | None = None,
         stream: StreamGather | None = None,
-        is_write: bool = False,
     ) -> ScatterPending:
         """Dispatch *shard_operation* to every target simultaneously.
 
         Each branch runs on a pool worker: it ships the request command,
-        executes the shard-local work (optionally in the forked process pool
-        for eligible reads), then serializes the result back in batches of
-        *response_batch_size* — pushing every decoded batch into *stream* as
-        it crosses the wire, when streaming.  All traffic lands on the
+        executes the shard-local work, then serializes the result back in
+        batches of *response_batch_size* — pushing every decoded batch into
+        *stream* as it crosses the wire, when streaming.  All traffic lands on the
         branch's private network channel; nothing shared is touched until
         :meth:`_absorb_outcome`.
         """
         policy = policy or self.scatter_policy
-        if self._runner.mode == "process":
-            if is_write:
-                self._runner.invalidate_snapshot()
-            elif remote is not None:
-                self._runner.prepare_process_pool()
         batch_size = response_batch_size or self.RESPONSE_BATCH_SIZE
 
         def make_branch(shard_id: str) -> Callable[[Any], Any]:
@@ -349,12 +345,14 @@ class QueryRouter:
                         purpose=f"{purpose}:request",
                     )
                     branch.report.timing.dispatch_seconds = time.perf_counter() - started
-                    value, execute_seconds = self._runner.execute(
-                        shard_id,
-                        remote(shard_id) if remote is not None else None,
-                        lambda: shard.run(shard_operation, shard)[0],
-                    )
-                    branch.report.timing.execute_seconds = execute_seconds
+                    # Execution time is the branch thread's CPU time, not
+                    # wall clock: concurrent branches time-slice one
+                    # interpreter (GIL), and wall clock would charge each
+                    # branch for the others' slices — the paper's shards are
+                    # separate machines that pay only their own work.
+                    executing = time.thread_time()
+                    value = shard.run(shard_operation, shard)[0]
+                    branch.report.timing.execute_seconds = time.thread_time() - executing
                     shipping_started = time.perf_counter()
                     shipped_any = False
                     if ship_results and isinstance(value, list) and value:
@@ -462,9 +460,7 @@ class QueryRouter:
         ship_results: bool = True,
         targeted: bool = False,
         response_batch_size: int | None = None,
-        remote: Callable[[str], RemoteOperation] | None = None,
         policy: ScatterPolicy | None = None,
-        is_write: bool = False,
     ) -> dict[str, Any]:
         """Concurrent scatter + blocking gather; returns per-shard results.
 
@@ -479,9 +475,7 @@ class QueryRouter:
             shard_operation,
             ship_results=ship_results,
             response_batch_size=response_batch_size,
-            remote=remote,
             policy=policy,
-            is_write=is_write,
         )
         outcome = pending.gather()
         self._absorb_outcome(outcome, targeted=targeted)
@@ -566,7 +560,6 @@ class QueryRouter:
             do_insert,
             ship_results=False,
             targeted=not sharded or len(targets) < len(self.config.shard_ids),
-            is_write=True,
         )
         if manager is not None:
             for key, chunk in chunk_by_id.items():
@@ -591,7 +584,16 @@ class QueryRouter:
         collection_name: str,
         spec: FindSpec,
     ) -> list[dict[str, Any]]:
-        """Execute a complete find spec with shard-side pushdown.
+        """Execute a complete find spec with shard-side pushdown."""
+        return self._run_find(database_name, collection_name, spec)[0]
+
+    def _run_find(
+        self,
+        database_name: str,
+        collection_name: str,
+        spec: FindSpec,
+    ) -> tuple[list[dict[str, Any]], ScatterOutcome]:
+        """:meth:`execute_find` plus the outcome of its scatter.
 
         Projection, sort, and ``skip + limit`` are pushed to every target
         shard (each returns at most ``skip + limit`` pre-sorted, pre-projected
@@ -623,9 +625,6 @@ class QueryRouter:
             do_find,
             ship_results=True,
             response_batch_size=spec.batch_size,
-            remote=lambda shard_id: RemoteOperation(
-                "find", database_name, collection_name, (shard_spec,)
-            ),
             stream=stream,
         )
         started = time.perf_counter()
@@ -654,7 +653,7 @@ class QueryRouter:
         self._absorb_outcome(outcome, targeted=targeted)
         if not projection_pushed and spec.projection:
             results = [project_document(doc, spec.projection) for doc in results]
-        return results
+        return results, outcome
 
     def find(
         self,
@@ -669,62 +668,6 @@ class QueryRouter:
             collection_name,
             FindSpec(filter=query, projection=projection),
         )
-
-    def explain_find(
-        self,
-        database_name: str,
-        collection_name: str,
-        spec: FindSpec,
-        *,
-        execution_stats: bool = False,
-    ) -> dict[str, Any]:
-        """Explain a routed find: routing decision, pushdown, per-shard plans.
-
-        With ``execution_stats=True`` the find is actually executed through
-        the concurrent scatter and the explain gains an ``executionStats``
-        section: the observed fan-out makespan plus each shard branch's
-        queue / dispatch / execute / ship timing breakdown.
-        """
-        targets, targeted = self._target_shards(database_name, collection_name, spec.filter)
-        shard_spec = spec.shard_spec()
-        shards = {
-            shard_id: self._shards[shard_id]
-            .collection(database_name, collection_name)
-            .explain_find(shard_spec)["queryPlanner"]
-            for shard_id in targets
-        }
-        winning_plan = {
-            "stage": "SINGLE_SHARD" if len(targets) == 1 else "SHARD_MERGE",
-            "targeted": targeted,
-            "shardsContacted": list(targets),
-            "pushdown": {
-                "projection": spec.projection is not None
-                and shard_spec.projection is not None,
-                "sort": spec.sort is not None,
-                "limit": shard_spec.limit,
-            },
-            "shards": shards,
-        }
-        explain = {
-            "queryPlanner": {
-                "winningPlan": winning_plan,
-                "sortMode": "streamingKWayMerge" if spec.sort else None,
-                "findSpec": spec.describe(),
-            }
-        }
-        if execution_stats:
-            self.execute_find(database_name, collection_name, spec)
-            explain["executionStats"] = self._execution_stats_section()
-        return explain
-
-    def _execution_stats_section(self) -> dict[str, Any]:
-        report = self.last_scatter_report or {}
-        return {
-            "executorMode": self.executor_mode,
-            "parallelSeconds": report.get("makespanSeconds", 0.0),
-            "timedOutShards": report.get("timedOutShards", []),
-            "shards": report.get("shards", {}),
-        }
 
     def count_documents(
         self,
@@ -747,9 +690,6 @@ class QueryRouter:
             do_count,
             ship_results=False,
             targeted=targeted,
-            remote=lambda shard_id: RemoteOperation(
-                "count", database_name, collection_name, (query,)
-            ),
         )
         return sum(per_shard.values())
 
@@ -781,9 +721,6 @@ class QueryRouter:
             do_distinct,
             ship_results=True,
             targeted=targeted,
-            remote=lambda shard_id: RemoteOperation(
-                "distinct", database_name, collection_name, (key, query)
-            ),
         )
         started = time.perf_counter()
         merged: list[Any] = []
@@ -827,7 +764,6 @@ class QueryRouter:
             do_update,
             ship_results=False,
             targeted=targeted,
-            is_write=True,
         )
         matched = sum(result.matched_count for result in per_shard.values())
         modified = sum(result.modified_count for result in per_shard.values())
@@ -880,7 +816,6 @@ class QueryRouter:
             do_update,
             ship_results=False,
             targeted=targeted,
-            is_write=True,
         )
         for shard_id in targets:
             result = per_shard.get(shard_id)
@@ -915,7 +850,6 @@ class QueryRouter:
             do_delete,
             ship_results=False,
             targeted=targeted,
-            is_write=True,
         )
         return DeleteResult(deleted_count=sum(result.deleted_count for result in per_shard.values()))
 
@@ -950,7 +884,6 @@ class QueryRouter:
             do_create,
             ship_results=False,
             targeted=False,
-            is_write=True,
         )
         return next(iter(per_shard.values()))
 
@@ -990,7 +923,6 @@ class QueryRouter:
             do_drop,
             ship_results=False,
             targeted=False,
-            is_write=True,
         )
 
     def drop_collection(self, database_name: str, collection_name: str) -> None:
@@ -1010,7 +942,6 @@ class QueryRouter:
                 do_drop,
                 ship_results=False,
                 targeted=False,
-                is_write=True,
             )
         self.config.drop_collection_metadata(database_name, collection_name)
 
@@ -1036,20 +967,48 @@ class QueryRouter:
         per-shard top-k by score and keeps the global top-k, so the merged
         ranking is exactly what a stand-alone collection would return.
         """
+        return self._run_aggregate(database_name, collection_name, pipeline)[0]
+
+    def _route_pipeline(
+        self,
+        database_name: str,
+        collection_name: str,
+        pipeline: Sequence[Mapping[str, Any]],
+    ) -> tuple[list[Any], list[Any], list[Any], list[str], bool]:
+        """Split *pipeline* for the shards and choose its target shards.
+
+        Returns ``(pipeline, shard_stages, merge_stages, targets, targeted)``.
+        The routing decision uses the leading ``$match``, or the ``filter`` of
+        a leading ``$vectorSearch``.
+        """
         pipeline = list(pipeline)
-        vector_stage = None
+        leading_match = None
         if pipeline and "$vectorSearch" in pipeline[0]:
             # Apply the $vectorSearch+$limit k-lowering before splitting so
             # every shard scans the lowered k, not the stage's original one.
             pipeline = optimize_pipeline(pipeline)
             vector_stage = pipeline[0]["$vectorSearch"]
+            if isinstance(vector_stage, Mapping):
+                leading_match = vector_stage.get("filter")
         shard_stages, merge_stages = split_pipeline_for_shards(pipeline)
-        leading_match = None
         if shard_stages and "$match" in shard_stages[0]:
             leading_match = shard_stages[0]["$match"]
-        elif vector_stage is not None and isinstance(vector_stage, Mapping):
-            leading_match = vector_stage.get("filter")
         targets, targeted = self._target_shards(database_name, collection_name, leading_match)
+        return pipeline, shard_stages, merge_stages, targets, targeted
+
+    def _run_aggregate(
+        self,
+        database_name: str,
+        collection_name: str,
+        pipeline: Sequence[Mapping[str, Any]],
+    ) -> tuple[list[dict[str, Any]], ScatterOutcome]:
+        """:meth:`aggregate` plus the outcome of its shard-stage scatter."""
+        pipeline, shard_stages, merge_stages, targets, targeted = self._route_pipeline(
+            database_name, collection_name, pipeline
+        )
+        vector_stage = (
+            pipeline[0]["$vectorSearch"] if pipeline and "$vectorSearch" in pipeline[0] else None
+        )
 
         def do_aggregate(shard: Shard) -> list[dict[str, Any]]:
             # Reuse the collection engine's entry point so shard-local
@@ -1058,18 +1017,14 @@ class QueryRouter:
             collection = shard.collection(database_name, collection_name)
             return collection.aggregate(shard_stages)
 
-        per_shard = self._scatter(
-            database_name,
-            collection_name,
+        outcome = self._launch_scatter(
             targets,
             {"aggregate": collection_name, "pipeline": len(pipeline)},
             "aggregate",
             do_aggregate,
-            targeted=targeted,
-            remote=lambda shard_id: RemoteOperation(
-                "aggregate", database_name, collection_name, (tuple(shard_stages),)
-            ),
-        )
+        ).gather()
+        self._absorb_outcome(outcome, targeted=targeted)
+        per_shard = outcome.results()
 
         started = time.perf_counter()
         merged: list[dict[str, Any]] = []
@@ -1113,56 +1068,94 @@ class QueryRouter:
             self.drop_collection(database_name, out_target)
             if results:
                 self.insert_many(database_name, out_target, results)
-            return []
-        return results
+            return [], outcome
+        return results, outcome
 
-    def explain_aggregate(
+    # ------------------------------------------------------------------ explain
+
+    def explain(
         self,
         database_name: str,
         collection_name: str,
-        pipeline: Sequence[Mapping[str, Any]],
-        *,
-        execution_stats: bool = False,
+        find_spec_or_pipeline: FindSpec | Sequence[Mapping[str, Any]],
+        verbosity: str = "queryPlanner",
     ) -> dict[str, Any]:
-        """Explain a routed aggregation without network/metric accounting.
+        """Explain a routed find or aggregation (schema v1, ``surface="sharded"``).
 
-        Returns the routing decision (targeted vs broadcast, the shards
-        contacted) plus each shard's local plan — including the IXSCAN /
-        COLLSCAN choice for the leading ``$match`` and per-stage documents
-        examined / returned counters — and the merge stages the router would
-        run over the combined results.  With ``execution_stats=True`` the
-        pipeline is actually executed through the concurrent scatter and the
-        result gains an ``executionStats`` section with the observed fan-out
-        makespan and per-shard queue / dispatch / execute / ship timings.
+        The winning plan is the routing decision: targeted or broadcast, the
+        shards contacted, and the find's shard pushdown or the aggregation's
+        router-side merge stages.  ``shards[shard_id]`` is each target shard
+        collection's own explain, at the same verbosity, of the part the
+        router sends it.  At ``executionStats`` the operation also runs
+        through the concurrent scatter (a trailing ``$out`` is not written),
+        and the section reports that scatter's own per-shard branch timings,
+        makespan and timed-out shards.
         """
-        pipeline = list(pipeline)
-        if pipeline and "$vectorSearch" in pipeline[0]:
-            pipeline = optimize_pipeline(pipeline)
-        shard_stages, merge_stages = split_pipeline_for_shards(pipeline)
-        leading_match = None
-        if shard_stages and "$match" in shard_stages[0]:
-            leading_match = shard_stages[0]["$match"]
-        elif shard_stages and "$vectorSearch" in shard_stages[0]:
-            specification = shard_stages[0]["$vectorSearch"]
-            if isinstance(specification, Mapping):
-                leading_match = specification.get("filter")
-        targets, targeted = self._target_shards(database_name, collection_name, leading_match)
-        shards = {
-            shard_id: self._shards[shard_id]
-            .collection(database_name, collection_name)
-            .explain_aggregate(shard_stages)
-            for shard_id in targets
-        }
-        explain = {
-            "targeted": targeted,
-            "shardsContacted": list(targets),
-            "shards": shards,
-            "mergeStages": [next(iter(stage)) for stage in merge_stages],
-        }
-        if execution_stats:
-            self.aggregate(database_name, collection_name, pipeline)
-            explain["executionStats"] = self._execution_stats_section()
-        return explain
+        validate_verbosity(verbosity)
+        wants_stats = verbosity == "executionStats"
+        target = explain_target(find_spec_or_pipeline)
+        executed: tuple[list[dict[str, Any]], ScatterOutcome] | None = None
+        if isinstance(target, FindSpec):
+            targets, targeted = self._target_shards(
+                database_name, collection_name, target.filter
+            )
+            part: FindSpec | list[Any] = target.shard_spec()
+            operation, spec = "find", target.describe()
+            sort_mode = "streamingKWayMerge" if target.sort else None
+            routing: dict[str, Any] = {
+                "pushdown": {
+                    "projection": target.projection is not None
+                    and part.projection is not None,
+                    "sort": target.sort is not None,
+                    "limit": part.limit,
+                }
+            }
+            if wants_stats:
+                executed = self._run_find(database_name, collection_name, target)
+        else:
+            _pipeline, part, merge_stages, targets, targeted = self._route_pipeline(
+                database_name, collection_name, target
+            )
+            operation, spec = "aggregate", {"pipeline": [dict(stage) for stage in target]}
+            sort_mode = None
+            routing = {"mergeStages": [next(iter(stage)) for stage in merge_stages]}
+            if wants_stats:
+                # Explain must not write the $out target.
+                without_out = target[:-1] if target and "$out" in target[-1] else target
+                executed = self._run_aggregate(database_name, collection_name, without_out)
+        execution_stats = None
+        if executed is not None:
+            results, outcome = executed
+            execution_stats = build_execution_stats(
+                n_returned=len(results),
+                shards={report.shard_id: report.timing.snapshot() for report in outcome.reports},
+                extra={
+                    "executorMode": self.executor_mode,
+                    "parallelSeconds": outcome.makespan_seconds,
+                    "timedOutShards": list(outcome.timed_out),
+                },
+            )
+        return build_explain(
+            surface="sharded",
+            operation=operation,
+            verbosity=verbosity,
+            namespace=f"{database_name}.{collection_name}",
+            winning_plan={
+                "stage": "SINGLE_SHARD" if len(targets) == 1 else "SHARD_MERGE",
+                "targeted": targeted,
+                "shardsContacted": list(targets),
+                **routing,
+            },
+            sort_mode=sort_mode,
+            spec=spec,
+            shards={
+                shard_id: self._shards[shard_id]
+                .collection(database_name, collection_name)
+                .explain(part, verbosity=verbosity)
+                for shard_id in targets
+            },
+            execution_stats=execution_stats,
+        )
 
     # --------------------------------------------------------------------- stats
 
@@ -1264,7 +1257,7 @@ class RoutedCollection:
         skip: int = 0,
         limit: int = 0,
         batch_size: int | None = None,
-        hint: str | None = None,
+        hint: str | Mapping[str, Any] | Sequence[Any] | None = None,
     ) -> Cursor:
         """Return a lazy cursor whose spec is pushed down to the shards.
 
@@ -1286,9 +1279,7 @@ class RoutedCollection:
                 self._database_name, self.name, final_spec
             ),
             spec=spec,
-            explain=lambda final_spec: self._router.explain_find(
-                self._database_name, self.name, final_spec
-            ),
+            explain=self.explain,
         )
 
     def find_one(
@@ -1308,76 +1299,13 @@ class RoutedCollection:
         *,
         verbosity: str = "queryPlanner",
     ) -> dict[str, Any]:
-        """The unified explain entry point (schema v1, ``surface="sharded"``).
+        """Explain a find or an aggregation (schema v1, ``surface="sharded"``).
 
         Same signature and document shape as ``Collection.explain`` on a
-        stand-alone deployment: a mapping (or ``None``) explains a find, a
-        sequence of stages explains an aggregation.  ``explain_find`` /
-        ``explain_aggregate`` remain as deprecated aliases returning their
-        historical shapes.
+        stand-alone deployment; :meth:`QueryRouter.explain` builds it.
         """
-        validate_verbosity(verbosity)
-        if isinstance(query_or_pipeline, Sequence) and not isinstance(
-            query_or_pipeline, (str, bytes)
-        ):
-            return self._explain_pipeline(list(query_or_pipeline), verbosity)
-        if isinstance(query_or_pipeline, FindSpec):
-            return self._explain_spec(query_or_pipeline, verbosity)
-        return self._explain_spec(FindSpec(filter=query_or_pipeline), verbosity)
-
-    def _explain_spec(self, spec: FindSpec, verbosity: str) -> dict[str, Any]:
-        legacy = self._router.explain_find(self._database_name, self.name, spec)
-        planner = legacy["queryPlanner"]
-        execution = None
-        if verbosity == "executionStats":
-            results = self._router.execute_find(self._database_name, self.name, spec)
-            execution = build_execution_stats(
-                n_returned=len(results),
-                shards=self._router._execution_stats_section()["shards"],
-            )
-        return build_explain(
-            surface="sharded",
-            operation="find",
-            verbosity=verbosity,
-            namespace=self.full_name,
-            winning_plan=planner["winningPlan"],
-            sort_mode=planner["sortMode"],
-            spec=planner["findSpec"],
-            shards=planner["winningPlan"].get("shards", {}),
-            execution_stats=execution,
-        )
-
-    def _explain_pipeline(
-        self, pipeline: list[Mapping[str, Any]], verbosity: str
-    ) -> dict[str, Any]:
-        legacy = self._router.explain_aggregate(self._database_name, self.name, pipeline)
-        winning_plan = {
-            "stage": "SINGLE_SHARD" if len(legacy["shardsContacted"]) == 1 else "SHARD_MERGE",
-            "targeted": legacy["targeted"],
-            "shardsContacted": list(legacy["shardsContacted"]),
-            "mergeStages": list(legacy["mergeStages"]),
-        }
-        execution = None
-        if verbosity == "executionStats":
-            executed = list(pipeline)
-            if executed and "$out" in executed[-1]:
-                # Explain must not write the $out target.
-                executed = executed[:-1]
-            results = self._router.aggregate(self._database_name, self.name, executed)
-            execution = build_execution_stats(
-                n_returned=len(results),
-                shards=self._router._execution_stats_section()["shards"],
-            )
-        return build_explain(
-            surface="sharded",
-            operation="aggregate",
-            verbosity=verbosity,
-            namespace=self.full_name,
-            winning_plan=winning_plan,
-            sort_mode=None,
-            spec={"pipeline": [dict(stage) for stage in pipeline]},
-            shards=legacy["shards"],
-            execution_stats=execution,
+        return self._router.explain(
+            self._database_name, self.name, explain_target(query_or_pipeline), verbosity
         )
 
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
@@ -1418,14 +1346,6 @@ class RoutedCollection:
     def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
         return self._router.aggregate(self._database_name, self.name, pipeline)
 
-    def explain_aggregate(
-        self, pipeline: Sequence[Mapping[str, Any]], *, execution_stats: bool = False
-    ) -> dict[str, Any]:
-        """Explain how the cluster would execute *pipeline* (per-shard plans)."""
-        return self._router.explain_aggregate(
-            self._database_name, self.name, pipeline, execution_stats=execution_stats
-        )
-
     def create_index(self, keys: Any, *, unique: bool = False, name: str = "") -> str:
         """Create an index cluster-wide; accepts structured specs like
         ``{"keys": ["embedding"], "type": "vector", "dims": 8}``."""
@@ -1440,19 +1360,6 @@ class RoutedCollection:
 
     def drop(self) -> None:
         self._router.drop_collection(self._database_name, self.name)
-
-    def find_with_options(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        sort: Sequence[tuple[str, int]] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-    ) -> list[dict[str, Any]]:
-        """One-shot find mirroring :meth:`Collection.find_with_options`."""
-        return self.find(
-            query, projection, sort=sort, skip=skip, limit=limit
-        ).to_list()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RoutedCollection({self.full_name!r})"

@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-from repro.documentstore import DocumentStoreClient, dump_database, load_database
+import json
+
+from repro.documentstore import (
+    DocumentStoreClient,
+    dump_database,
+    load_database,
+    load_snapshot,
+    write_snapshot,
+)
+from repro.documentstore.bson import decode_document, encode_document
 from repro.documentstore.recovery import apply_record
 
 DIMS = 3
@@ -89,6 +98,39 @@ class TestVectorDurability:
         assert applied == 0
         info = client.db.items.index_information()["legacy_n"]
         assert info["unique"] is True
+
+    def test_legacy_snapshot_and_dump_manifests_restore(self, tmp_path):
+        # Manifests written before structured specs: a snapshot entry held
+        # only keys + unique (its name was the dict key), a dump entry was a
+        # bare key list.
+        source = DocumentStoreClient()
+        source.db.items.insert_many([{"_id": i, "n": i} for i in range(5)])
+        source.db.items.create_index("n", unique=True)
+
+        snapshot = tmp_path / "legacy.snap"
+        write_snapshot(source, snapshot)
+        lines = snapshot.read_bytes().splitlines()
+        manifest = decode_document(lines[0])
+        manifest["databases"]["db"]["items"]["indexes"] = {
+            "legacy_n": {"keys": [["n", 1]], "unique": True}
+        }
+        snapshot.write_bytes(b"\n".join([encode_document(manifest), *lines[1:]]) + b"\n")
+        restored = DocumentStoreClient()
+        load_snapshot(restored, snapshot)
+        info = restored.db.items.index_information()["legacy_n"]
+        assert info["key"] == [("n", 1)] and info["unique"] is True
+        assert len(restored.db.items.find({"n": {"$gte": 0}}).to_list()) == 5
+
+        dump = tmp_path / "dump"
+        dump_database(source.db, dump)
+        manifest_path = dump / "__manifest__.json"
+        dump_manifest = json.loads(manifest_path.read_text())
+        dump_manifest["collections"]["items"]["indexes"] = {"n_1": [["n", 1]]}
+        manifest_path.write_text(json.dumps(dump_manifest))
+        loaded = DocumentStoreClient()
+        load_database(loaded.db, dump)
+        info = loaded.db.items.index_information()["n_1"]
+        assert info["key"] == [("n", 1)] and info["unique"] is False
 
     def test_dump_and_load_carry_vector_specs(self, tmp_path):
         source = DocumentStoreClient()

@@ -2,7 +2,7 @@
 
 Covers the parity matrix (standalone vs serial-sharded vs parallel-sharded),
 deadline/cancellation behavior with a slow-shard fixture, streaming gather,
-first-match-wins ``update_one``, process-mode snapshot execution, and the
+first-match-wins ``update_one``, explain's own scatter statistics, and the
 concurrency stress test that pins metric totals under parallel scatter to
 the sequential baseline.
 """
@@ -273,12 +273,12 @@ class TestFirstMatchUpdateOne:
 
 
 class TestExplainExecutionStats:
-    def test_explain_find_execution_stats(self, parallel_cluster):
+    def test_find_execution_stats(self, parallel_cluster):
         router = parallel_cluster.router
         from repro.documentstore.findspec import FindSpec
 
-        explain = router.explain_find(
-            "shop", "orders", FindSpec(filter={"store": 1}), execution_stats=True
+        explain = router.explain(
+            "shop", "orders", FindSpec(filter={"store": 1}), "executionStats"
         )
         stats = explain["executionStats"]
         assert stats["executorMode"] == "thread"
@@ -293,10 +293,11 @@ class TestExplainExecutionStats:
                 "totalSeconds",
             }
 
-    def test_explain_aggregate_execution_stats(self, parallel_cluster):
+    def test_aggregate_execution_stats(self, parallel_cluster):
         routed = parallel_cluster.get_database("shop")["orders"]
-        explain = routed.explain_aggregate(PIPELINE, execution_stats=True)
+        explain = routed.explain(PIPELINE, verbosity="executionStats")
         assert explain["executionStats"]["parallelSeconds"] >= 0
+        assert explain["executionStats"]["timedOutShards"] == []
 
 
 def run_stress_workload(cluster, client_count: int, concurrent: bool) -> None:
@@ -367,26 +368,6 @@ class TestConcurrencyStress:
         finally:
             serial.close()
             threaded.close()
-
-
-class TestProcessMode:
-    def test_reads_match_and_writes_invalidate_snapshot(self):
-        cluster = build_cluster("process")
-        try:
-            orders = cluster.get_database("shop")["orders"]
-            want = sorted_by_id(d for d in DOCS if d["store"] == 1)
-            got = orders.find({"store": 1}, {"_id": 0}).to_list()
-            assert sorted_by_id(got) == want
-            assert orders.count_documents({}) == len(DOCS)
-            assert sorted(orders.distinct("tag")) == sorted({d["tag"] for d in DOCS})
-            assert orders.aggregate(PIPELINE)
-            # A write must discard the forked snapshot: the next read sees it.
-            orders.insert_many([{"order_id": 10_001, "store": 8}])
-            assert orders.count_documents({"store": 8}) == 1
-            orders.delete_many({"store": 8})
-            assert orders.count_documents({"store": 8}) == 0
-        finally:
-            cluster.close()
 
 
 class TestRealtimeNetworkOverlap:

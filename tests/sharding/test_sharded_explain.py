@@ -38,11 +38,12 @@ class TestShardedAggregateExplain:
     def test_indexed_leading_match_reports_ixscan_on_every_shard(self, cluster):
         orders = cluster.get_database("shop")["orders"]
         orders.create_index("store")
-        explain = orders.explain_aggregate(
+        explain = orders.explain(
             [
                 {"$match": {"store": 5}},
                 {"$group": {"_id": "$day", "total": {"$sum": "$amount"}}},
-            ]
+            ],
+            verbosity="executionStats",
         )
         assert explain["shards"], "expected at least one shard plan"
         for shard_plan in explain["shards"].values():
@@ -53,19 +54,47 @@ class TestShardedAggregateExplain:
             assert match_stage["stage"] == "$match"
             # Each shard examined only its index candidates, not its slice.
             assert match_stage["docsExamined"] < len(ROWS) // 3
-        assert explain["mergeStages"] == ["$group"]
+        assert explain["queryPlanner"]["winningPlan"]["mergeStages"] == ["$group"]
 
     def test_unindexed_match_reports_collscan(self, cluster):
         orders = cluster.get_database("shop")["orders"]
-        explain = orders.explain_aggregate([{"$match": {"store": 5}}])
+        explain = orders.explain([{"$match": {"store": 5}}])
         for shard_plan in explain["shards"].values():
             assert shard_plan["queryPlanner"]["winningPlan"]["stage"] == "COLLSCAN"
 
     def test_shard_key_match_targets_subset_of_shards(self, cluster):
         orders = cluster.get_database("shop")["orders"]
-        explain = orders.explain_aggregate([{"$match": {"day": 3}}])
-        assert explain["targeted"] is True
-        assert len(explain["shardsContacted"]) < cluster.shard_count
+        plan = orders.explain([{"$match": {"day": 3}}])["queryPlanner"]["winningPlan"]
+        assert plan["targeted"] is True
+        assert len(plan["shardsContacted"]) < cluster.shard_count
+
+    def test_execution_stats_report_the_explained_scatter(self, cluster):
+        # The $lookup's nested find reaches one shard (``stores`` is not
+        # sharded); it must not replace the broadcast aggregate's scatter.
+        cluster.get_database("shop")["stores"].insert_many(
+            [{"store": i, "region": "north"} for i in range(8)]
+        )
+        orders = cluster.get_database("shop")["orders"]
+        explain = orders.explain(
+            [
+                {"$match": {"store": 5}},
+                {
+                    "$lookup": {
+                        "from": "stores",
+                        "localField": "store",
+                        "foreignField": "store",
+                        "as": "store_info",
+                    }
+                },
+            ],
+            verbosity="executionStats",
+        )
+        contacted = explain["queryPlanner"]["winningPlan"]["shardsContacted"]
+        assert len(contacted) == cluster.shard_count
+        assert sorted(explain["executionStats"]["shards"]) == sorted(contacted)
+        assert explain["executionStats"]["nReturned"] == len(
+            [row for row in ROWS if row["store"] == 5]
+        )
 
     def test_aggregate_results_match_standalone(self, cluster):
         pipeline = [

@@ -98,7 +98,7 @@ class TestShardedParity:
         assert routed.aggregate(pipeline) == standalone.aggregate(pipeline)
 
     def test_shard_key_filter_targets_subset(self, cluster, routed):
-        explain = cluster.router.explain_aggregate(
+        explain = cluster.router.explain(
             "rag",
             "chunks",
             [
@@ -112,17 +112,19 @@ class TestShardedParity:
                 }
             ],
         )
-        assert explain["targeted"] is True
-        assert len(explain["shardsContacted"]) == 1
+        plan = explain["queryPlanner"]["winningPlan"]
+        assert plan["targeted"] is True
+        assert len(plan["shardsContacted"]) == 1
 
     def test_unfiltered_vector_search_broadcasts(self, cluster, routed):
-        explain = cluster.router.explain_aggregate(
+        explain = cluster.router.explain(
             "rag",
             "chunks",
             [{"$vectorSearch": {"queryVector": QUERY, "k": 5, "exact": True}}],
         )
-        assert explain["targeted"] is False
-        assert len(explain["shardsContacted"]) == 3
+        plan = explain["queryPlanner"]["winningPlan"]
+        assert plan["targeted"] is False
+        assert len(plan["shardsContacted"]) == 3
 
 
 class TestShardedExplain:
@@ -148,6 +150,12 @@ class TestShardedExplain:
             plan = shard_explain["queryPlanner"]["winningPlan"]
             assert plan["stage"] == "VECTOR_SEARCH"
 
-    def test_legacy_router_shapes_survive(self, cluster, routed):
-        legacy = routed.explain_aggregate([{"$match": {"tenant": 1}}])
-        assert {"targeted", "shardsContacted", "shards", "mergeStages"} <= set(legacy)
+    def test_shard_entries_share_one_shape(self, routed):
+        find = routed.explain({"tenant": 1}, verbosity="executionStats")
+        aggregate = routed.explain([{"$match": {"tenant": 1}}], verbosity="executionStats")
+        entries = [*find["shards"].values(), *aggregate["shards"].values()]
+        assert entries
+        for entry in entries:
+            assert set(entry) == set(TOP_LEVEL_KEYS) | {"executionStats"}
+            assert set(entry["queryPlanner"]) == set(PLANNER_KEYS)
+            assert set(entry["executionStats"]) == set(EXECUTION_KEYS)
