@@ -86,6 +86,7 @@ from .storage import (
     load_collection,
     load_database,
 )
+from .surface import CollectionSurface
 from .vector import VectorIndex, vector_score
 from .wal import WriteAheadLog, decode_records, encode_record
 
@@ -105,6 +106,7 @@ __all__ = [
     "CollectionDoesNotExist",
     "CollectionInvalid",
     "CollectionStats",
+    "CollectionSurface",
     "Cursor",
     "Database",
     "DeleteResult",

@@ -9,6 +9,12 @@ the thesis algorithms rely on:
 * ``update_many`` with ``upsert``/``multi`` semantics (Figure 4.7, step 10);
 * ``aggregate`` executing an aggregation pipeline (Appendix B queries);
 * ``create_index`` for the index types of Section 2.1.2.
+
+It is the in-process transport of the collection contract: ``find``,
+``insert_one`` and the update/delete variants are derived once in
+:class:`~repro.documentstore.surface.CollectionSurface`; this module
+implements the primitives under them (``_execute_find``, ``_update``,
+``_delete``, ``insert_many``, ...).
 """
 
 from __future__ import annotations
@@ -26,14 +32,7 @@ from .bson import (
     validate_document,
     validate_update_values,
 )
-from .cursor import (
-    Cursor,
-    DeleteResult,
-    InsertManyResult,
-    InsertOneResult,
-    UpdateResult,
-    project_document,
-)
+from .cursor import DeleteResult, InsertManyResult, UpdateResult, project_document
 from .errors import (
     DocumentStoreError,
     DuplicateKeyError,
@@ -53,6 +52,7 @@ from .matching import compile_matcher, resolve_path, values_equal
 from .objectid import ObjectId
 from .ordering import document_sort_key
 from .planner import QueryPlan, plan_find, plan_query
+from .surface import CollectionSurface
 from .update import apply_update, build_upsert_document, is_update_document
 from .vector import VectorIndex
 
@@ -100,8 +100,8 @@ class CollectionStats:
         }
 
 
-class Collection:
-    """A named set of documents with indexes."""
+class Collection(CollectionSurface):
+    """A named set of documents with indexes (the in-process transport)."""
 
     def __init__(self, database: "Database | None", name: str) -> None:
         if not name or "$" in name:
@@ -353,22 +353,15 @@ class Collection:
         validate_document(prepared)
         return prepared
 
-    def insert_one(self, document: Mapping[str, Any]) -> InsertOneResult:
-        """Insert a single document, assigning an ``ObjectId`` if needed."""
-        prepared = self._prepare_for_insert(document)
-        self._insert_prepared(prepared)
-        self.operation_counters["inserts"] += 1
-        self._write_log({"op": "insert", "docs": [prepared]})
-        return InsertOneResult(inserted_id=prepared["_id"])
-
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         """Insert many documents with one maintenance pass per index.
 
         The whole batch is validated and ``_id``-assigned first (one deep
         copy per document), so a malformed or oversized document rejects the
         entire batch before anything is stored — driver-style client-side
-        validation.  Each index then absorbs the batch through a single
-        sorted merge instead of one ``list.insert`` per key.  On a
+        validation.  Each index then absorbs the batch in one
+        :meth:`Index.bulk_insert` (a sorted merge, or in-place bisection
+        for a few keys into a large index).  On a
         unique-key violation the bulk merge is rolled back from every index
         and the batch is replayed document-by-document, so the stored prefix
         and the raised error match ordered (stop-at-first-failure) mode.
@@ -384,7 +377,7 @@ class Collection:
             inserted = 0
             try:
                 for document in prepared:
-                    self._insert_prepared(document)
+                    self._bulk_insert_prepared([document])
                     self.operation_counters["inserts"] += 1
                     inserted += 1
             finally:
@@ -408,7 +401,7 @@ class Collection:
         ]
 
     def _bulk_insert_prepared(self, documents: Sequence[dict[str, Any]]) -> list[int]:
-        """Insert a prepared batch through the bulk index-merge path."""
+        """Insert a prepared batch into the documents and every maintained index."""
         if self._defer_secondary_indexes:
             self._deferred_writes = True
         batch = [(next(self._doc_id_counter), document) for document in documents]
@@ -426,27 +419,6 @@ class Collection:
         for doc_id, document in batch:
             self._documents[doc_id] = document
         return [doc_id for doc_id, _document in batch]
-
-    def _insert_prepared(self, document: dict[str, Any]) -> int:
-        if self._defer_secondary_indexes:
-            self._deferred_writes = True
-        doc_id = next(self._doc_id_counter)
-        # The unique _id index comes first in dict order, so duplicate _ids
-        # abort before any secondary index is touched.
-        updated: list[Index | VectorIndex] = []
-        try:
-            for _name, index in self._maintained_index_items():
-                index.insert(document, doc_id)
-                updated.append(index)
-        except DocumentStoreError:
-            # Remove the document from every index updated so far — a
-            # violation (or vector validation error) on the k-th secondary
-            # index must not leave entries behind in indexes 1..k-1.
-            for index in updated:
-                index.remove(document, doc_id)
-            raise
-        self._documents[doc_id] = document
-        return doc_id
 
     # ---------------------------------------------------------------- reads
 
@@ -500,7 +472,7 @@ class Collection:
         """The name of the index whose key pattern a hint such as ``{"g": 1}`` names."""
         try:
             keys = IndexSpec.from_key_specification(pattern).keys
-        except (TypeError, ValueError):
+        except OperationFailure:
             keys = None
         for name, index in self._indexes.items():
             if index.spec.keys == keys:
@@ -514,7 +486,7 @@ class Collection:
             return deep_copy_document(project_document(document, projection))
         return deep_copy_document(document)
 
-    def _execute_find(self, spec: FindSpec) -> Iterator[dict[str, Any]]:
+    def _execute_find(self, spec: FindSpec) -> Iterable[dict[str, Any]]:
         """Execute a complete find spec, streaming final result documents.
 
         Three shapes, chosen by the planner:
@@ -586,46 +558,6 @@ class Collection:
             selected = matched[spec.skip:]
         for document in selected:
             yield self._emit(document, spec.projection)
-
-    def find(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-        batch_size: int | None = None,
-        hint: str | Mapping[str, Any] | Sequence[Any] | None = None,
-    ) -> Cursor:
-        """Return a lazy cursor over the documents matching *query*.
-
-        Options may be passed here or chained on the cursor; either way the
-        executor receives one complete :class:`FindSpec` when iteration
-        starts.
-        """
-        spec = FindSpec.create(
-            filter=query,
-            projection=projection,
-            sort=sort,
-            skip=skip,
-            limit=limit,
-            batch_size=batch_size,
-            hint=hint,
-        )
-        return Cursor(self._execute_find, spec=spec, explain=self.explain)
-
-    def find_one(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-    ) -> dict[str, Any] | None:
-        """Return one matching document, or ``None``."""
-        for document in self.find(query, projection, sort=sort, limit=1):
-            return document
-        return None
 
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
         """Count the documents matching *query*."""
@@ -792,7 +724,7 @@ class Collection:
             if "_id" not in seed:
                 seed["_id"] = ObjectId()
             validate_document(seed)
-            self._insert_prepared(seed)
+            self._bulk_insert_prepared([seed])
             upserted_id = seed["_id"]
             changed_documents.append(seed)
         self.operation_counters["updates"] += 1
@@ -802,40 +734,6 @@ class Collection:
             # operators and plan-order-dependent update_one targets.
             self._write_log({"op": "apply", "docs": changed_documents})
         return UpdateResult(matched_count=matched, modified_count=modified, upserted_id=upserted_id)
-
-    def update_one(
-        self,
-        query: Mapping[str, Any] | None,
-        update: Mapping[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        """Update the first matching document."""
-        return self._update(query, update, upsert=upsert, multi=False)
-
-    def update_many(
-        self,
-        query: Mapping[str, Any] | None,
-        update: Mapping[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        """Update every matching document (the thesis' ``multi=true``)."""
-        if not is_update_document(update):
-            raise OperationFailure("update_many requires update operators")
-        return self._update(query, update, upsert=upsert, multi=True)
-
-    def replace_one(
-        self,
-        query: Mapping[str, Any] | None,
-        replacement: Mapping[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        """Replace the first matching document with *replacement*."""
-        if is_update_document(replacement):
-            raise OperationFailure("replace_one requires a plain replacement document")
-        return self._update(query, replacement, upsert=upsert, multi=False)
 
     # --------------------------------------------------------------- deletes
 
@@ -861,14 +759,6 @@ class Collection:
         if deleted_ids:
             self._write_log({"op": "delete", "ids": deleted_ids})
         return DeleteResult(deleted_count=deleted)
-
-    def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
-        """Delete the first matching document."""
-        return self._delete(query, multi=False)
-
-    def delete_many(self, query: Mapping[str, Any] | None) -> DeleteResult:
-        """Delete every matching document."""
-        return self._delete(query, multi=True)
 
     def drop(self) -> None:
         """Remove every document and every secondary index."""
@@ -1096,12 +986,7 @@ class Collection:
         )
         return plan, results
 
-    def aggregate(
-        self,
-        pipeline: Sequence[Mapping[str, Any]],
-        *,
-        counters: list[StageStats] | None = None,
-    ) -> list[dict[str, Any]]:
+    def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
         """Run an aggregation pipeline over the collection.
 
         The pipeline is optimized once (match merging / pushdown, top-k and
@@ -1109,10 +994,9 @@ class Collection:
         effective leading stage even when the caller wrote it after a
         ``$sort``.  A leading ``$vectorSearch`` runs against the
         collection's vector index (with optional metadata pre-filter)
-        before the compiled stages.  When *counters* is a list it receives
-        per-stage :class:`~repro.documentstore.aggregation.StageStats`.
+        before the compiled stages.
         """
-        _plan, results = self._execute_pipeline(pipeline, counters=counters)
+        _plan, results = self._execute_pipeline(pipeline)
         return results
 
     # ------------------------------------------------------------- iteration

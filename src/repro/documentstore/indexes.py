@@ -186,13 +186,7 @@ class IndexSpec:
         """
         if isinstance(keys, Mapping) and "keys" in keys:
             return cls._from_structured(keys, unique=unique, name=name)
-        if isinstance(keys, str):
-            normalized: tuple[tuple[str, Any], ...] = ((keys, ASCENDING),)
-        elif isinstance(keys, Mapping):
-            normalized = tuple((str(k), v) for k, v in keys.items())
-        else:
-            normalized = tuple((str(k), v) for k, v in keys)
-        return cls(keys=normalized, unique=unique, name=name)
+        return cls(keys=_normalize_keys(keys), unique=unique, name=name)
 
     @classmethod
     def _from_structured(
@@ -204,24 +198,7 @@ class IndexSpec:
                 f"unknown index spec field(s) {unknown!r}; "
                 f"allowed: {sorted(_STRUCTURED_SPEC_FIELDS)!r}"
             )
-        raw_keys = spec["keys"]
-        if isinstance(raw_keys, str):
-            normalized: tuple[tuple[str, Any], ...] = ((raw_keys, ASCENDING),)
-        elif isinstance(raw_keys, Mapping):
-            normalized = tuple((str(k), v) for k, v in raw_keys.items())
-        else:
-            try:
-                normalized = tuple(
-                    (str(pair), ASCENDING)
-                    if isinstance(pair, str)
-                    else (str(pair[0]), pair[1])
-                    for pair in raw_keys
-                )
-            except (TypeError, IndexError):
-                raise OperationFailure(
-                    "index spec 'keys' must be a field name, a mapping, or a "
-                    "sequence of (field, direction) pairs"
-                ) from None
+        normalized = _normalize_keys(spec["keys"])
         index_type = str(spec.get("type") or BTREE_TYPE)
         dims = spec.get("dims", 0)
         nlist = spec.get("nlist", 0)
@@ -275,6 +252,32 @@ class IndexSpec:
     def is_vector(self) -> bool:
         """True if this is a vector index."""
         return self.type == VECTOR_TYPE
+
+
+def _normalize_keys(keys: Any) -> tuple[tuple[str, Any], ...]:
+    """``(field, direction)`` pairs from a field name, a mapping or a key sequence.
+
+    A bare field name, alone or inside the sequence, means ascending; any
+    other shape raises :class:`OperationFailure`.
+    """
+    if isinstance(keys, str):
+        return ((keys, ASCENDING),)
+    if isinstance(keys, Mapping):
+        return tuple((str(k), v) for k, v in keys.items())
+    normalized: list[tuple[str, Any]] = []
+    try:
+        for pair in keys:
+            if isinstance(pair, str):
+                normalized.append((pair, ASCENDING))
+            else:
+                field_path, direction = pair
+                normalized.append((str(field_path), direction))
+    except (TypeError, ValueError):
+        raise OperationFailure(
+            "index keys must be a field name, a mapping, or a sequence of "
+            f"(field, direction) pairs, got {keys!r}"
+        ) from None
+    return tuple(normalized)
 
 
 class Index:
@@ -424,6 +427,21 @@ class Index:
             self._keys.extend(entry[0] for entry in additions)
             self._entries.extend((entry[1], entry[2]) for entry in additions)
             self._order_unsafe_entries += unsafe
+            return undo
+        if len(additions) * 64 < len(self._keys):
+            # A few keys into a large index (one insert_one, a small write):
+            # bisect each into place, as Index.insert does.  A merge would
+            # compare every existing key in Python.
+            undo = BulkUndo(self, positions=[], unsafe=unsafe)
+            self._order_unsafe_entries += unsafe
+            for ordered, key, doc_id, _safe in additions:
+                position = bisect.bisect_right(self._keys, ordered)
+                if self.spec.unique and position and self._keys[position - 1] == ordered:
+                    undo.rollback()
+                    raise DuplicateKeyError(self.spec.name, key)
+                self._keys.insert(position, ordered)
+                self._entries.insert(position, (key, doc_id))
+                undo.positions.append(position)
             return undo
         merged_keys, merged_entries = self._merge_sorted(additions)
         undo = BulkUndo(
@@ -615,13 +633,15 @@ class BulkUndo:
     """Rollback handle for one :meth:`Index.bulk_insert` call.
 
     A bulk insert that took the append fast path is undone by truncating the
-    arrays back to their previous length; a merge is undone by restoring the
-    previous array objects (the merge builds new lists, so the old ones stay
-    valid).  Collections use this to remove a batch from every
-    already-updated index when a later index raises a unique violation.
+    arrays back to their previous length; one that bisected its few keys in
+    place, by deleting them at their recorded positions, newest first; a
+    merge, by restoring the previous array objects (the merge builds new
+    lists, so the old ones stay valid).  Collections use this to remove a
+    batch from every already-updated index when a later index raises a
+    unique violation.
     """
 
-    __slots__ = ("_index", "_keys", "_entries", "_unsafe", "_truncate_to")
+    __slots__ = ("_index", "_keys", "_entries", "_unsafe", "_truncate_to", "positions")
 
     def __init__(
         self,
@@ -631,19 +651,27 @@ class BulkUndo:
         entries: list | None = None,
         unsafe: int = 0,
         truncate_to: int | None = None,
+        positions: list[int] | None = None,
     ) -> None:
         self._index = index
         self._keys = keys
         self._entries = entries
-        #: Truncate mode: the unsafe-entry count *added* by the bulk insert.
-        #: Swap mode: the unsafe-entry count *before* the bulk insert.
+        #: Truncate and positions modes: the unsafe-entry count *added* by
+        #: the bulk insert.  Swap mode: the count *before* the bulk insert.
         self._unsafe = unsafe
         self._truncate_to = truncate_to
+        #: Positions mode: where each key was inserted, in insertion order.
+        self.positions = positions
 
     def rollback(self) -> None:
         """Restore the index to its state before the bulk insert."""
         index = self._index
-        if self._truncate_to is not None:
+        if self.positions is not None:
+            for position in reversed(self.positions):
+                del index._keys[position]
+                del index._entries[position]
+            index._order_unsafe_entries -= self._unsafe
+        elif self._truncate_to is not None:
             del index._keys[self._truncate_to:]
             del index._entries[self._truncate_to:]
             index._order_unsafe_entries -= self._unsafe

@@ -22,18 +22,14 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ..documentstore.cursor import (
-    Cursor,
-    DeleteResult,
-    InsertManyResult,
-    InsertOneResult,
-    UpdateResult,
-)
+from ..documentstore.cursor import DeleteResult, InsertManyResult, UpdateResult
 from ..documentstore.errors import DocumentStoreError
 from ..documentstore.explain import explain_target
 from ..documentstore.findspec import FindSpec
+from ..documentstore.indexes import IndexSpec
+from ..documentstore.surface import CollectionSurface
 from ..sharding.executor import ShardTimeoutError
 from .protocol import (
     ConnectionFailure,
@@ -303,8 +299,13 @@ class RemoteDatabase:
         return f"RemoteDatabase({self.name!r})"
 
 
-class RemoteCollection:
-    """Collection handle with the same surface as the in-process backends."""
+class RemoteCollection(CollectionSurface):
+    """The served transport of the collection contract.
+
+    The derived methods (``find``, ``insert_one``, ``update_one``, ...) come
+    from :class:`CollectionSurface`; the primitives below each cross the wire
+    as one request frame.
+    """
 
     def __init__(self, client: RemoteClient, database_name: str, name: str) -> None:
         self.client = client
@@ -319,41 +320,28 @@ class RemoteCollection:
     def _namespace(self) -> dict[str, Any]:
         return {"db": self.database_name, "collection": self.name}
 
+    def _request(self, opcode: int, payload: Mapping[str, Any], *, idempotent: bool) -> Any:
+        return self.client._request(
+            opcode, {**self._namespace(), **payload}, idempotent=idempotent
+        )
+
     # ------------------------------------------------------------------ reads
 
-    def find(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-        batch_size: int | None = None,
-        hint: str | Mapping[str, Any] | Sequence[Any] | None = None,
-    ) -> Cursor:
-        """Return a lazy cursor; the complete spec crosses the wire at once."""
-        spec = FindSpec.create(
-            filter=query,
-            projection=projection,
-            sort=sort,
-            skip=skip,
-            limit=limit,
-            batch_size=batch_size,
-            hint=hint,
-        )
-        return Cursor(self._execute_find, spec=spec, explain=self.explain)
+    def _execute_find(self, spec: FindSpec) -> Iterable[dict[str, Any]]:
+        """Stream a find; the complete spec crosses the wire in one frame."""
+        return self._stream(Opcode.FIND, {"spec": encode_findspec(spec)}, spec.batch_size)
 
-    def _execute_find(self, spec: FindSpec) -> Iterator[dict[str, Any]]:
-        """Stream a find: one ``FIND`` frame, then ``GET_MORE`` per batch.
+    def _stream(
+        self, opcode: int, payload: Mapping[str, Any], batch_size: int | None
+    ) -> Iterator[dict[str, Any]]:
+        """Stream a cursor reply: one ``FIND``/``AGGREGATE`` frame, then ``GET_MORE``.
 
         The connection is pinned for the cursor's lifetime (server cursor
         state is per-connection); a cursor abandoned before exhaustion sends
         a best-effort ``KILL_CURSOR`` so the server frees its state.
         """
-        payload = {**self._namespace(), "spec": encode_findspec(spec)}
         connection, reply = self.client._request_pinned(
-            Opcode.FIND, payload, idempotent=True
+            opcode, {**self._namespace(), **payload}, idempotent=True
         )
         cursor_id = 0
         try:
@@ -367,11 +355,7 @@ class RemoteCollection:
                 try:
                     frame = connection.request(
                         Opcode.GET_MORE,
-                        {
-                            **self._namespace(),
-                            "cursor_id": cursor_id,
-                            "batch_size": spec.batch_size,
-                        },
+                        {**self._namespace(), "cursor_id": cursor_id, "batch_size": batch_size},
                     )
                 except _TRANSPORT_ERRORS as exc:
                     lost_cursor_id, cursor_id = cursor_id, 0  # died with its connection
@@ -393,32 +377,13 @@ class RemoteCollection:
             else:
                 self.client._checkin(connection)
 
-    def find_one(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-    ) -> dict[str, Any] | None:
-        """Return one matching document, or ``None``."""
-        for document in self.find(query, projection, sort=sort, limit=1):
-            return document
-        return None
-
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
         """Count matching documents on the server."""
-        reply = self.client._request(
-            Opcode.COUNT, {**self._namespace(), "filter": query}, idempotent=True
-        )
-        return int(reply["n"])
+        return int(self._request(Opcode.COUNT, {"filter": query}, idempotent=True)["n"])
 
     def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
         """Distinct values of *key* across matching documents."""
-        reply = self.client._request(
-            Opcode.DISTINCT,
-            {**self._namespace(), "key": key, "filter": query},
-            idempotent=True,
-        )
+        reply = self._request(Opcode.DISTINCT, {"key": key, "filter": query}, idempotent=True)
         return list(reply["values"])
 
     def aggregate(
@@ -429,72 +394,13 @@ class RemoteCollection:
     ) -> list[dict[str, Any]]:
         """Run an aggregation pipeline on the server.
 
-        With *batch_size* the results stream back in ``GET_MORE`` batches
-        (like :meth:`find`) instead of one monolithic reply — the path large
-        ``$vectorSearch``/``$group`` result sets should take.
+        The reply is a cursor, like :meth:`find`'s: with *batch_size* the
+        results stream back in ``GET_MORE`` batches — the path large
+        ``$vectorSearch``/``$group`` result sets should take — and without
+        it they arrive as one batch.
         """
-        if batch_size is None:
-            reply = self.client._request(
-                Opcode.AGGREGATE,
-                {**self._namespace(), "pipeline": [dict(stage) for stage in pipeline]},
-                idempotent=True,
-            )
-            return list(reply["results"])
-        return list(self._stream_aggregate(pipeline, int(batch_size)))
-
-    def _stream_aggregate(
-        self, pipeline: Sequence[Mapping[str, Any]], batch_size: int
-    ) -> Iterator[dict[str, Any]]:
-        """Stream an aggregation: one ``AGGREGATE`` frame, then ``GET_MORE``.
-
-        Mirrors :meth:`_execute_find`: the connection stays pinned while the
-        server cursor is open, and early abandonment kills the cursor.
-        """
-        payload = {
-            **self._namespace(),
-            "pipeline": [dict(stage) for stage in pipeline],
-            "batch_size": batch_size,
-        }
-        connection, reply = self.client._request_pinned(
-            Opcode.AGGREGATE, payload, idempotent=True
-        )
-        cursor_id = 0
-        try:
-            while True:
-                cursor_id = int(reply.get("cursor_id") or 0)
-                for document in reply.get("batch", []):
-                    yield document
-                if not reply.get("has_more"):
-                    cursor_id = 0
-                    return
-                try:
-                    frame = connection.request(
-                        Opcode.GET_MORE,
-                        {
-                            **self._namespace(),
-                            "cursor_id": cursor_id,
-                            "batch_size": batch_size,
-                        },
-                    )
-                except _TRANSPORT_ERRORS as exc:
-                    lost_cursor_id, cursor_id = cursor_id, 0
-                    raise ConnectionFailure(
-                        f"connection lost while streaming cursor {lost_cursor_id}: {exc}"
-                    ) from exc
-                reply = frame.document
-        finally:
-            if cursor_id and not connection.broken:
-                try:
-                    connection.request(
-                        Opcode.KILL_CURSOR,
-                        {**self._namespace(), "cursor_id": cursor_id},
-                    )
-                except (DocumentStoreError, ShardTimeoutError, *_TRANSPORT_ERRORS):
-                    pass
-            if connection.broken:
-                self.client._discard(connection)
-            else:
-                self.client._checkin(connection)
+        payload = {"pipeline": [dict(stage) for stage in pipeline], "batch_size": batch_size}
+        return list(self._stream(Opcode.AGGREGATE, payload, batch_size))
 
     def explain(
         self,
@@ -520,30 +426,25 @@ class RemoteCollection:
 
     # ----------------------------------------------------------------- writes
 
-    def insert_one(self, document: Mapping[str, Any]) -> InsertOneResult:
-        """Insert one document."""
-        result = self.insert_many([document])
-        return InsertOneResult(inserted_id=result.inserted_ids[0])
-
-    def insert_many(self, documents: Sequence[Mapping[str, Any]]) -> InsertManyResult:
+    def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         """Insert a batch of documents in one frame."""
-        reply = self.client._request(
-            Opcode.INSERT_MANY,
-            {**self._namespace(), "documents": [dict(doc) for doc in documents]},
+        reply = self._request(
+            Opcode.INSERT_MANY, {"documents": list(documents)}, idempotent=False
         )
         return InsertManyResult(inserted_ids=list(reply["inserted_ids"]))
 
-    def update_one(
+    def _update(
         self,
         query: Mapping[str, Any] | None,
         update: Mapping[str, Any],
         *,
-        upsert: bool = False,
+        upsert: bool,
+        multi: bool,
     ) -> UpdateResult:
-        """Update at most one matching document."""
-        reply = self.client._request(
-            Opcode.UPDATE_ONE,
-            {**self._namespace(), "filter": query, "update": dict(update), "upsert": upsert},
+        reply = self._request(
+            Opcode.UPDATE_MANY if multi else Opcode.UPDATE_ONE,
+            {"filter": query, "update": dict(update), "upsert": upsert},
+            idempotent=False,
         )
         return UpdateResult(
             matched_count=int(reply["matched"]),
@@ -551,62 +452,32 @@ class RemoteCollection:
             upserted_id=reply.get("upserted_id"),
         )
 
-    def update_many(
-        self,
-        query: Mapping[str, Any] | None,
-        update: Mapping[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        """Update every matching document."""
-        reply = self.client._request(
-            Opcode.UPDATE_MANY,
-            {**self._namespace(), "filter": query, "update": dict(update), "upsert": upsert},
-        )
-        return UpdateResult(
-            matched_count=int(reply["matched"]),
-            modified_count=int(reply["modified"]),
-            upserted_id=reply.get("upserted_id"),
-        )
-
-    def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
-        """Delete at most one matching document."""
-        reply = self.client._request(
-            Opcode.DELETE_ONE, {**self._namespace(), "filter": query}
-        )
-        return DeleteResult(deleted_count=int(reply["deleted"]))
-
-    def delete_many(self, query: Mapping[str, Any] | None) -> DeleteResult:
-        """Delete every matching document."""
-        reply = self.client._request(
-            Opcode.DELETE_MANY, {**self._namespace(), "filter": query}
+    def _delete(self, query: Mapping[str, Any] | None, *, multi: bool) -> DeleteResult:
+        reply = self._request(
+            Opcode.DELETE_MANY if multi else Opcode.DELETE_ONE, {"filter": query}, idempotent=False
         )
         return DeleteResult(deleted_count=int(reply["deleted"]))
 
     # -------------------------------------------------------------------- DDL
 
-    def create_index(self, keys: Any, *, unique: bool = False, name: str = "") -> str:
+    def create_index(
+        self,
+        keys: str | Sequence[tuple[str, Any]] | Mapping[str, Any],
+        *,
+        unique: bool = False,
+        name: str = "",
+    ) -> str:
         """Create an index on the served collection.
 
-        Accepts the same shapes as the in-process backends, including
-        structured specs like ``{"keys": ["embedding"], "type": "vector",
-        "dims": 8, "metric": "cosine"}`` — those cross the wire verbatim.
+        Every key form the in-process backends accept (a field name, key
+        pairs, a ``{field: direction}`` mapping or a structured spec such as
+        ``{"keys": ["embedding"], "type": "vector", "dims": 8}``) is
+        normalized here, by the same :class:`IndexSpec` the engine uses, and
+        crosses the wire as one structured spec.
         """
-        if isinstance(keys, Mapping) and "keys" in keys:
-            reply = self.client.command(
-                self.database_name,
-                {"createIndexes": self.name, "spec": dict(keys)},
-            )
-            return str(reply["name"])
-        if isinstance(keys, str):
-            wire_keys: Any = keys
-        elif isinstance(keys, Mapping):
-            wire_keys = [[field, direction] for field, direction in keys.items()]
-        else:
-            wire_keys = [list(pair) for pair in keys]
+        spec = IndexSpec.from_key_specification(keys, unique=unique, name=name)
         reply = self.client.command(
-            self.database_name,
-            {"createIndexes": self.name, "keys": wire_keys, "unique": unique, "name": name},
+            self.database_name, {"createIndexes": self.name, "spec": spec.describe()}
         )
         return str(reply["name"])
 
@@ -615,11 +486,9 @@ class RemoteCollection:
         reply = self.client.command(self.database_name, {"listIndexes": self.name})
         return [dict(spec) for spec in reply["indexes"]]
 
-    def drop_index(self, index_name: str) -> None:
+    def drop_index(self, name: str) -> None:
         """Drop an index from the served collection."""
-        self.client.command(
-            self.database_name, {"dropIndexes": self.name, "index": index_name}
-        )
+        self.client.command(self.database_name, {"dropIndexes": self.name, "index": name})
 
     def drop(self) -> None:
         """Drop the served collection."""

@@ -209,17 +209,41 @@ def encode_findspec(spec: FindSpec) -> dict[str, Any]:
     }
 
 
+#: Types of the scalar and document fields of a wire find spec (all optional).
+_SPEC_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "filter": (Mapping, type(None)),
+    "projection": (Mapping, type(None)),
+    "skip": (int, type(None)),
+    "limit": (int, type(None)),
+    "batch_size": (int, type(None)),
+}
+
+
 def decode_findspec(document: Mapping[str, Any]) -> FindSpec:
-    """Rebuild a :class:`FindSpec` from its wire form."""
+    """Rebuild a :class:`FindSpec` from its wire form.
+
+    A malformed field raises :class:`OperationFailure`, and the spec is
+    validated by :meth:`FindSpec.create` exactly as an in-process ``find``.
+    """
+    if not isinstance(document, Mapping):
+        raise OperationFailure(f"a find spec must be a document, got {document!r}")
     sort = document.get("sort")
-    return FindSpec(
+    if sort is not None and not (
+        isinstance(sort, list)
+        and all(isinstance(pair, list) and len(pair) == 2 for pair in sort)
+    ):
+        raise OperationFailure(
+            f"spec.sort must be a list of [field, direction] pairs, got {sort!r}"
+        )
+    for name, kinds in _SPEC_FIELD_TYPES.items():
+        if not isinstance(document.get(name), kinds):
+            raise OperationFailure(f"spec.{name} has the wrong type: {document.get(name)!r}")
+    return FindSpec.create(
         filter=document.get("filter") or None,
         projection=document.get("projection") or None,
-        sort=tuple((str(field), int(direction)) for field, direction in sort)
-        if sort
-        else None,
-        skip=int(document.get("skip") or 0),
-        limit=document.get("limit"),
+        sort=[(str(field), direction) for field, direction in sort] if sort else None,
+        skip=document.get("skip") or 0,
+        limit=document.get("limit") or 0,
         batch_size=document.get("batch_size"),
         hint=document.get("hint"),
     )

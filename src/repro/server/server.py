@@ -14,9 +14,16 @@ Design points:
   handler thread with its own session state; accepts beyond
   ``max_connections`` are rejected with a structured error frame
   (backpressure the client can see and retry on);
-* **cursor state for batched streaming** — a ``FIND`` whose result exceeds
-  the batch size registers a server-side cursor; ``GET_MORE`` frames stream
-  the remaining batches.  The cursor wraps the backend's lazy
+* **one wire table** — each request opcode maps to the fields it reads
+  (type-checked in one place, so a malformed frame gets a structured
+  ``OperationFailure``) and to what runs it; the CRUD opcodes call the
+  backend collection's contract methods
+  (:class:`~repro.documentstore.surface.CollectionSurface`);
+* **cursor state for batched streaming** — a ``FIND`` or ``AGGREGATE``
+  whose result exceeds the batch size registers a server-side cursor;
+  ``GET_MORE`` frames stream the remaining batches.  Both answer with the
+  same cursor reply; an ``AGGREGATE`` without a batch size is one unlimited
+  batch.  A find's cursor wraps the backend's lazy
   :class:`~repro.documentstore.cursor.Cursor`, so the complete
   :class:`~repro.documentstore.findspec.FindSpec` (sort/skip/limit/
   projection/hint) reached the planner before the first batch was produced
@@ -37,7 +44,7 @@ import math
 import socket
 import threading
 import time
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..documentstore.errors import DocumentStoreError, OperationFailure
 from ..sharding.executor import ShardTimeoutError
@@ -235,9 +242,12 @@ class ServerStats:
 
 
 class _ServerCursor:
-    """Session-local state of one batched ``FIND`` being streamed."""
+    """Session-local state of one ``FIND`` or ``AGGREGATE`` result being streamed.
 
-    def __init__(self, iterator: Iterator[dict[str, Any]], batch_size: int) -> None:
+    A ``batch_size`` of ``None`` ships every remaining document in one batch.
+    """
+
+    def __init__(self, iterator: Iterator[dict[str, Any]], batch_size: int | None) -> None:
         self.iterator = iterator
         self.batch_size = batch_size
         self._lookahead: dict[str, Any] | None = None
@@ -246,12 +256,17 @@ class _ServerCursor:
     def next_batch(self, batch_size: int | None = None) -> tuple[list[dict[str, Any]], bool]:
         """Return (documents, has_more) for the next response batch."""
         size = batch_size or self.batch_size
+        if size is not None and size <= 0:
+            raise OperationFailure(f"batch_size must be positive, got {size}")
         batch: list[dict[str, Any]] = []
         if self._has_lookahead:
             assert self._lookahead is not None
             batch.append(self._lookahead)
             self._lookahead = None
             self._has_lookahead = False
+        if size is None:
+            batch.extend(self.iterator)
+            return batch, False
         while len(batch) < size:
             try:
                 batch.append(next(self.iterator))
@@ -539,20 +554,6 @@ class _Session(threading.Thread):
         self.cursors: dict[int, _ServerCursor] = {}
         self._next_cursor_id = 1
         self._closed = False
-        self._handlers: dict[int, Callable[[Mapping[str, Any]], tuple[dict[str, Any], int]]] = {
-            Opcode.FIND: self._handle_find,
-            Opcode.GET_MORE: self._handle_get_more,
-            Opcode.KILL_CURSOR: self._handle_kill_cursor,
-            Opcode.INSERT_MANY: self._handle_insert_many,
-            Opcode.UPDATE_ONE: self._handle_update_one,
-            Opcode.UPDATE_MANY: self._handle_update_many,
-            Opcode.DELETE_ONE: self._handle_delete_one,
-            Opcode.DELETE_MANY: self._handle_delete_many,
-            Opcode.AGGREGATE: self._handle_aggregate,
-            Opcode.DISTINCT: self._handle_distinct,
-            Opcode.COUNT: self._handle_count,
-            Opcode.COMMAND: self._handle_command,
-        }
 
     # --------------------------------------------------------------- plumbing
 
@@ -629,10 +630,12 @@ class _Session(threading.Thread):
             return encode_frame(Opcode.ERROR, frame.request_id, payload), False
         failed = False
         try:
-            handler = self._handlers.get(frame.opcode)
-            if handler is None:
+            operation = _WIRE_OPS.get(frame.opcode)
+            if operation is None:
                 raise OperationFailure(f"unknown opcode {frame.opcode}")
-            payload, flags = handler(frame.document)
+            fields, run = operation
+            _check_fields(opcode_name, frame.document, fields)
+            payload, flags = run(self, frame.document)
             reply = encode_frame(Opcode.REPLY, frame.request_id, payload, flags=flags)
         except (DocumentStoreError, ShardTimeoutError) as exc:
             failed = True
@@ -654,10 +657,26 @@ class _Session(threading.Thread):
 
     # --------------------------------------------------------------- handlers
 
+    def _collection(self, doc: Mapping[str, Any]) -> Any:
+        return self.server._collection(doc["db"], doc["collection"])
+
+    def _open_cursor(
+        self, documents: Iterable[dict[str, Any]], batch_size: int | None
+    ) -> tuple[dict[str, Any], int]:
+        """Reply with the first batch; keep a cursor for ``GET_MORE`` if more remain."""
+        server_cursor = _ServerCursor(iter(documents), batch_size)
+        batch, has_more = server_cursor.next_batch()
+        cursor_id = 0
+        if has_more:
+            cursor_id = self._next_cursor_id
+            self._next_cursor_id += 1
+            self.cursors[cursor_id] = server_cursor
+            self.server.stats.record_cursor("opened")
+        return _batch_reply(batch, cursor_id, has_more)
+
     def _handle_find(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
         spec = decode_findspec(doc.get("spec") or {})
-        cursor = collection.find(
+        cursor = self._collection(doc).find(
             spec.filter,
             spec.projection,
             sort=spec.sort,
@@ -666,21 +685,16 @@ class _Session(threading.Thread):
             batch_size=spec.batch_size,
             hint=spec.hint,
         )
-        batch_size = spec.batch_size or self.server.default_batch_size
-        server_cursor = _ServerCursor(iter(cursor), batch_size)
-        batch, has_more = server_cursor.next_batch()
-        cursor_id = 0
-        flags = 0
-        if has_more:
-            cursor_id = self._next_cursor_id
-            self._next_cursor_id += 1
-            self.cursors[cursor_id] = server_cursor
-            self.server.stats.record_cursor("opened")
-            flags = FLAG_HAS_MORE
-        return {"batch": batch, "cursor_id": cursor_id, "has_more": has_more}, flags
+        return self._open_cursor(cursor, spec.batch_size or self.server.default_batch_size)
+
+    def _handle_aggregate(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
+        # Without a batch size the whole result is the first (and only) batch.
+        return self._open_cursor(
+            self._collection(doc).aggregate(doc["pipeline"]), doc.get("batch_size")
+        )
 
     def _handle_get_more(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        cursor_id = int(doc.get("cursor_id") or 0)
+        cursor_id = doc["cursor_id"]
         server_cursor = self.cursors.get(cursor_id)
         if server_cursor is None:
             raise OperationFailure(f"cursor {cursor_id} not found on this connection")
@@ -689,111 +703,37 @@ class _Session(threading.Thread):
             del self.cursors[cursor_id]
             self.server.stats.record_cursor("exhausted")
             cursor_id = 0
-        flags = FLAG_HAS_MORE if has_more else 0
-        return {"batch": batch, "cursor_id": cursor_id, "has_more": has_more}, flags
+        return _batch_reply(batch, cursor_id, has_more)
 
     def _handle_kill_cursor(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        cursor_id = int(doc.get("cursor_id") or 0)
-        if self.cursors.pop(cursor_id, None) is not None:
+        if self.cursors.pop(doc["cursor_id"], None) is not None:
             self.server.stats.record_cursor("killed")
         return {"ok": 1.0}, 0
 
-    def _handle_insert_many(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        result = collection.insert_many(doc.get("documents") or [])
-        return {"inserted_ids": list(result.inserted_ids)}, 0
-
-    def _handle_update_one(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        result = collection.update_one(
-            doc.get("filter"), doc["update"], upsert=bool(doc.get("upsert"))
-        )
-        return {
-            "matched": result.matched_count,
-            "modified": result.modified_count,
-            "upserted_id": result.upserted_id,
-        }, 0
-
-    def _handle_update_many(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        result = collection.update_many(
-            doc.get("filter"), doc["update"], upsert=bool(doc.get("upsert"))
-        )
-        return {
-            "matched": result.matched_count,
-            "modified": result.modified_count,
-            "upserted_id": result.upserted_id,
-        }, 0
-
-    def _handle_delete_one(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        result = collection.delete_one(doc.get("filter"))
-        return {"deleted": result.deleted_count}, 0
-
-    def _handle_delete_many(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        result = collection.delete_many(doc.get("filter"))
-        return {"deleted": result.deleted_count}, 0
-
-    def _handle_aggregate(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        results = collection.aggregate(doc.get("pipeline") or [])
-        if "batch_size" not in doc:
-            # Pre-cursor clients ask for the whole result set in one reply.
-            return {"results": list(results)}, 0
-        # Cursor-style reply: ship the first batch and register a server
-        # cursor for GET_MORE, exactly like _handle_find.
-        batch_size = int(doc.get("batch_size") or self.server.default_batch_size)
-        server_cursor = _ServerCursor(iter(results), batch_size)
-        batch, has_more = server_cursor.next_batch()
-        cursor_id = 0
-        flags = 0
-        if has_more:
-            cursor_id = self._next_cursor_id
-            self._next_cursor_id += 1
-            self.cursors[cursor_id] = server_cursor
-            self.server.stats.record_cursor("opened")
-            flags = FLAG_HAS_MORE
-        return {"batch": batch, "cursor_id": cursor_id, "has_more": has_more}, flags
-
-    def _handle_distinct(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        values = collection.distinct(doc["key"], doc.get("filter"))
-        return {"values": list(values)}, 0
-
-    def _handle_count(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        collection = self.server._collection(doc["db"], doc["collection"])
-        return {"n": collection.count_documents(doc.get("filter"))}, 0
-
     def _handle_command(self, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
-        command = doc.get("command") or {}
-        database_name = doc.get("db") or "admin"
+        command = doc["command"]
+        database_name = doc["db"]
         if "ping" in command:
             return {"ok": 1.0}, 0
         if "serverStatus" in command:
             return self.server.server_status(), 0
         if "createIndexes" in command:
-            collection = self.server._collection(database_name, command["createIndexes"])
+            # Clients normalize every key form to one structured spec document.
             spec = command.get("spec")
-            if isinstance(spec, Mapping):
-                # Structured spec: btree and vector indexes round-trip as-is.
-                name = collection.create_index(spec)
-                return {"ok": 1.0, "name": name}, 0
-            keys = command.get("keys")
-            if isinstance(keys, list):
-                keys = [tuple(pair) for pair in keys]
-            name = collection.create_index(
-                keys,
-                unique=bool(command.get("unique")),
-                name=str(command.get("name") or ""),
-            )
-            return {"ok": 1.0, "name": name}, 0
+            if not isinstance(spec, Mapping):
+                raise OperationFailure("createIndexes requires a structured 'spec' document")
+            _check_fields("createIndexes", command, ("createIndexes",))
+            collection = self.server._collection(database_name, command["createIndexes"])
+            return {"ok": 1.0, "name": collection.create_index(spec)}, 0
         if "listIndexes" in command:
+            _check_fields("listIndexes", command, ("listIndexes",))
             collection = self.server._collection(database_name, command["listIndexes"])
             return {"ok": 1.0, "indexes": collection.list_indexes()}, 0
         if "explain" in command:
+            _check_fields("explain", command, ("explain",))
             collection = self.server._collection(database_name, command["explain"])
             if "pipeline" in command:
+                _check_fields("explain", command, ("pipeline",))
                 argument: Any = command["pipeline"]
             else:
                 argument = decode_findspec(command.get("spec") or {})
@@ -804,10 +744,12 @@ class _Session(threading.Thread):
             explain["surface"] = "served"
             return {"ok": 1.0, "explain": explain}, 0
         if "dropIndexes" in command:
+            _check_fields("dropIndexes", command, ("dropIndexes", "index"))
             collection = self.server._collection(database_name, command["dropIndexes"])
-            collection.drop_index(str(command["index"]))
+            collection.drop_index(command["index"])
             return {"ok": 1.0}, 0
         if "drop" in command:
+            _check_fields("drop", command, ("drop",))
             collection = self.server._collection(database_name, command["drop"])
             collection.drop()
             return {"ok": 1.0}, 0
@@ -815,3 +757,97 @@ class _Session(threading.Thread):
             database = self.server.backend.get_database(database_name)
             return {"ok": 1.0, "collections": database.list_collection_names()}, 0
         raise OperationFailure(f"unknown command {sorted(command)!r}")
+
+
+def _batch_reply(
+    batch: list[dict[str, Any]], cursor_id: int, has_more: bool
+) -> tuple[dict[str, Any], int]:
+    """The one cursor reply shape of ``FIND``, ``AGGREGATE`` and ``GET_MORE``."""
+    payload = {"batch": batch, "cursor_id": cursor_id, "has_more": has_more}
+    return payload, FLAG_HAS_MORE if has_more else 0
+
+
+def _update_reply(result: Any) -> dict[str, Any]:
+    return {
+        "matched": result.matched_count,
+        "modified": result.modified_count,
+        "upserted_id": result.upserted_id,
+    }
+
+
+def _crud(
+    method: str, fields: tuple[str, ...], reply: Callable[[Any], dict[str, Any]]
+) -> tuple[tuple[str, ...], Callable[[_Session, Mapping[str, Any]], tuple[dict[str, Any], int]]]:
+    """A wire op calling ``collection.<method>`` with the request's *fields*.
+
+    ``upsert`` is passed by keyword, every other field positionally in order;
+    *reply* encodes the result.
+    """
+
+    def run(session: _Session, doc: Mapping[str, Any]) -> tuple[dict[str, Any], int]:
+        arguments = [doc.get(field) for field in fields if field != "upsert"]
+        keywords = {"upsert": bool(doc.get("upsert"))} if "upsert" in fields else {}
+        return reply(getattr(session._collection(doc), method)(*arguments, **keywords)), 0
+
+    return ("db", "collection", *fields), run
+
+
+#: The types every request field must have; ``None`` marks an optional field.
+_FIELD_TYPES: dict[str, tuple[type, ...]] = {
+    "db": (str,),
+    "collection": (str,),
+    "spec": (Mapping, type(None)),
+    "filter": (Mapping, type(None)),
+    "update": (Mapping,),
+    "upsert": (bool, type(None)),
+    "documents": (list,),
+    "key": (str,),
+    "pipeline": (list,),
+    "batch_size": (int, type(None)),
+    "cursor_id": (int,),
+    "command": (Mapping,),
+    # Command documents name their collection under the command's own key.
+    "createIndexes": (str,),
+    "listIndexes": (str,),
+    "explain": (str,),
+    "dropIndexes": (str,),
+    "drop": (str,),
+    "index": (str,),
+}
+
+
+def _check_fields(opcode_name: str, doc: Mapping[str, Any], fields: tuple[str, ...]) -> None:
+    """Reject a request whose fields are missing or of the wrong type."""
+    for field in fields:
+        value = doc.get(field)
+        if not isinstance(value, _FIELD_TYPES[field]):
+            raise OperationFailure(
+                f"{opcode_name}: field {field!r} is missing or malformed ({value!r})"
+            )
+
+
+#: opcode -> (the request fields it reads, what runs it).  CRUD opcodes call
+#: the collection contract's methods, so a raw frame meets the same argument
+#: checks as an in-process caller.
+_WIRE_OPS: dict[
+    int, tuple[tuple[str, ...], Callable[[_Session, Mapping[str, Any]], tuple[dict[str, Any], int]]]
+] = {
+    Opcode.FIND: (("db", "collection", "spec"), _Session._handle_find),
+    Opcode.AGGREGATE: (("db", "collection", "pipeline", "batch_size"), _Session._handle_aggregate),
+    Opcode.GET_MORE: (("cursor_id", "batch_size"), _Session._handle_get_more),
+    Opcode.KILL_CURSOR: (("cursor_id",), _Session._handle_kill_cursor),
+    Opcode.COMMAND: (("db", "command"), _Session._handle_command),
+    Opcode.INSERT_MANY: _crud(
+        "insert_many", ("documents",), lambda result: {"inserted_ids": list(result.inserted_ids)}
+    ),
+    Opcode.UPDATE_ONE: _crud("update_one", ("filter", "update", "upsert"), _update_reply),
+    Opcode.UPDATE_MANY: _crud("update_many", ("filter", "update", "upsert"), _update_reply),
+    Opcode.DELETE_ONE: _crud(
+        "delete_one", ("filter",), lambda result: {"deleted": result.deleted_count}
+    ),
+    Opcode.DELETE_MANY: _crud(
+        "delete_many", ("filter",), lambda result: {"deleted": result.deleted_count}
+    ),
+    Opcode.DISTINCT: _crud("distinct", ("key", "filter"), lambda values: {"values": list(values)}),
+    Opcode.COUNT: _crud("count_documents", ("filter",), lambda count: {"n": count}),
+}

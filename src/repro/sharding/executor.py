@@ -474,10 +474,10 @@ class StreamGather:
 
 
 class FirstMatchClaim:
-    """One-shot claim deciding which shard branch wins ``update_one``.
+    """One-shot claim deciding which shard branch wins ``update_one``/``delete_one``.
 
     Every branch probes its shard for a local match concurrently; the first
-    branch to find one claims the operation and applies the update, and the
+    branch to find one claims the operation and applies the write, and the
     claim doubles as a cancellation signal so still-probing branches stop
     early.  Exactly one shard ever applies the write.
     """

@@ -40,13 +40,12 @@ from ..documentstore.aggregation import (
 )
 from ..documentstore.bson import document_size
 from ..documentstore.cursor import (
-    Cursor,
     DeleteResult,
     InsertManyResult,
-    InsertOneResult,
     UpdateResult,
     project_document,
 )
+from ..documentstore.errors import InvalidDocumentError
 from ..documentstore.explain import (
     build_execution_stats,
     build_explain,
@@ -56,6 +55,8 @@ from ..documentstore.explain import (
 from ..documentstore.findspec import FindSpec
 from ..documentstore.objectid import ObjectId
 from ..documentstore.ordering import document_sort_key
+from ..documentstore.surface import CollectionSurface
+from ..documentstore.update import build_upsert_document
 from .chunks import Chunk, ChunkManager
 from .config_server import ConfigServer
 from .executor import (
@@ -504,6 +505,10 @@ class QueryRouter:
         """
         prepared: list[dict[str, Any]] = []
         for document in documents:
+            if not isinstance(document, Mapping):
+                raise InvalidDocumentError(
+                    f"documents must be mappings, got {type(document).__name__}"
+                )
             doc = dict(document)
             doc.setdefault("_id", ObjectId())
             prepared.append(doc)
@@ -565,16 +570,6 @@ class QueryRouter:
             for key, chunk in chunk_by_id.items():
                 manager.record_inserts(chunk, values_by_chunk[key], bytes_by_chunk[key])
         return InsertManyResult(inserted_ids=[doc["_id"] for doc in prepared])
-
-    def insert_one(
-        self,
-        database_name: str,
-        collection_name: str,
-        document: Mapping[str, Any],
-    ) -> InsertOneResult:
-        """Route a single-document insert."""
-        result = self.insert_many(database_name, collection_name, [document])
-        return InsertOneResult(inserted_id=result.inserted_ids[0])
 
     # --------------------------------------------------------------------- reads
 
@@ -654,20 +649,6 @@ class QueryRouter:
         if not projection_pushed and spec.projection:
             results = [project_document(doc, spec.projection) for doc in results]
         return results, outcome
-
-    def find(
-        self,
-        database_name: str,
-        collection_name: str,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-    ) -> list[dict[str, Any]]:
-        """Scatter a find to the target shards and merge the results."""
-        return self.execute_find(
-            database_name,
-            collection_name,
-            FindSpec(filter=query, projection=projection),
-        )
 
     def count_documents(
         self,
@@ -769,11 +750,7 @@ class QueryRouter:
         modified = sum(result.modified_count for result in per_shard.values())
         upserted_id = None
         if matched == 0 and upsert:
-            from ..documentstore.update import build_upsert_document
-
-            document = build_upsert_document(query or {}, update)
-            insert_result = self.insert_one(database_name, collection_name, document)
-            upserted_id = insert_result.inserted_id
+            upserted_id = self._upsert(database_name, collection_name, query, update)
         return UpdateResult(matched_count=matched, modified_count=modified, upserted_id=upserted_id)
 
     def update_one(
@@ -787,47 +764,96 @@ class QueryRouter:
     ) -> UpdateResult:
         """Route a single-document update through one concurrent fan-out.
 
+        :meth:`_on_first_match` applies the update to exactly one matching
+        document; with *upsert* and no match, the upsert document is
+        inserted through :meth:`insert_many`.
+        """
+        result = self._on_first_match(
+            database_name,
+            collection_name,
+            query,
+            {"update": collection_name, "filter": query, "u": update, "multi": False},
+            "update",
+            lambda collection, target: collection.update_one(target, update),
+        )
+        if result is not None:
+            return result
+        if upsert:
+            upserted_id = self._upsert(database_name, collection_name, query, update)
+            return UpdateResult(matched_count=0, modified_count=0, upserted_id=upserted_id)
+        return UpdateResult(matched_count=0, modified_count=0)
+
+    def delete_one(
+        self,
+        database_name: str,
+        collection_name: str,
+        query: Mapping[str, Any] | None,
+    ) -> DeleteResult:
+        """Route a single-document delete through one concurrent fan-out."""
+        result = self._on_first_match(
+            database_name,
+            collection_name,
+            query,
+            {"delete": collection_name, "filter": query, "limit": 1},
+            "delete",
+            lambda collection, target: collection.delete_one(target),
+        )
+        return result if result is not None else DeleteResult(deleted_count=0)
+
+    def _on_first_match(
+        self,
+        database_name: str,
+        collection_name: str,
+        query: Mapping[str, Any] | None,
+        command: Mapping[str, Any],
+        purpose: str,
+        apply: Callable[[Any, dict[str, Any]], Any],
+    ) -> Any:
+        """Apply a single-document write to the first match on any target shard.
+
         Every target shard probes for a local match simultaneously; the
         first branch to find one claims the operation (a one-shot
-        :class:`FirstMatchClaim`) and applies the update to exactly that
-        document, while the claim doubles as a cancellation signal so
-        still-probing branches bail out early.  Exactly one document is ever
-        modified — the previous implementation probed shards one at a time,
-        paying a serial round trip per shard.
+        :class:`FirstMatchClaim`) and runs ``apply(collection, {"_id": ...})``
+        on exactly that document, inside the same shard operation and so
+        under the shard's op lock — no other session can change the match
+        between probe and write.  The claim doubles as a cancellation
+        signal, so still-probing branches bail out early.  Returns the
+        winner's result, or ``None`` when no shard matched.
         """
         targets, targeted = self._target_shards(database_name, collection_name, query)
         claim = FirstMatchClaim()
 
-        def do_update(shard: Shard) -> UpdateResult:
-            collection = shard.collection(database_name, collection_name)
+        def do_first_match(shard: Shard) -> Any:
             if claim.decided:
-                return UpdateResult(matched_count=0, modified_count=0)
+                return None
+            collection = shard.collection(database_name, collection_name)
             matched = collection.find_one(query, {"_id": 1})
             if matched is None or not claim.claim(shard.shard_id):
-                return UpdateResult(matched_count=0, modified_count=0)
-            return collection.update_one({"_id": matched["_id"]}, update, upsert=False)
+                return None
+            return apply(collection, {"_id": matched["_id"]})
 
         per_shard = self._scatter(
             database_name,
             collection_name,
             targets,
-            {"update": collection_name, "filter": query, "u": update, "multi": False},
-            "update",
-            do_update,
+            command,
+            purpose,
+            do_first_match,
             ship_results=False,
             targeted=targeted,
         )
-        for shard_id in targets:
-            result = per_shard.get(shard_id)
-            if result is not None and result.matched_count:
-                return result
-        if upsert:
-            from ..documentstore.update import build_upsert_document
+        return per_shard.get(claim.winner) if claim.winner is not None else None
 
-            document = build_upsert_document(query or {}, update)
-            insert_result = self.insert_one(database_name, collection_name, document)
-            return UpdateResult(matched_count=0, modified_count=0, upserted_id=insert_result.inserted_id)
-        return UpdateResult(matched_count=0, modified_count=0)
+    def _upsert(
+        self,
+        database_name: str,
+        collection_name: str,
+        query: Mapping[str, Any] | None,
+        update: Mapping[str, Any],
+    ) -> Any:
+        """Insert the document an unmatched upsert creates; returns its ``_id``."""
+        document = build_upsert_document(query or {}, update)
+        return self.insert_many(database_name, collection_name, [document]).inserted_ids[0]
 
     def delete_many(
         self,
@@ -1057,7 +1083,9 @@ class QueryRouter:
             results = run_pipeline(
                 merged,
                 merge_stages,
-                collection_resolver=lambda name: self.find(database_name, name),
+                collection_resolver=lambda name: self.execute_find(
+                    database_name, name, FindSpec()
+                ),
             )
             started += self.metrics.router_seconds - router_seconds_before
         else:
@@ -1226,8 +1254,13 @@ class RoutedDatabase:
         return totals
 
 
-class RoutedCollection:
-    """Collection handle with the same surface as a stand-alone collection."""
+class RoutedCollection(CollectionSurface):
+    """The routed transport of the collection contract.
+
+    The derived methods (``find``, ``insert_one``, ``update_one``, ...) come
+    from :class:`CollectionSurface`; every primitive below forwards to the
+    router, which owns all routing and cost-accounting logic.
+    """
 
     def __init__(self, router: QueryRouter, database_name: str, name: str) -> None:
         self._router = router
@@ -1239,59 +1272,36 @@ class RoutedCollection:
         """The namespaced collection name."""
         return f"{self._database_name}.{self.name}"
 
-    # The method bodies below simply forward to the router, which owns all
-    # routing and cost-accounting logic.
+    def _execute_find(self, spec: FindSpec) -> Iterable[dict[str, Any]]:
+        """Send the complete spec through the router (shard-side pushdown)."""
+        return self._router.execute_find(self._database_name, self.name, spec)
 
-    def insert_one(self, document: Mapping[str, Any]) -> InsertOneResult:
-        return self._router.insert_one(self._database_name, self.name, document)
+    def _update(
+        self,
+        query: Mapping[str, Any] | None,
+        update: Mapping[str, Any],
+        *,
+        upsert: bool,
+        multi: bool,
+    ) -> UpdateResult:
+        route = self._router.update_many if multi else self._router.update_one
+        return route(self._database_name, self.name, query, update, upsert=upsert)
+
+    def _delete(self, query: Mapping[str, Any] | None, *, multi: bool) -> DeleteResult:
+        route = self._router.delete_many if multi else self._router.delete_one
+        return route(self._database_name, self.name, query)
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> InsertManyResult:
         return self._router.insert_many(self._database_name, self.name, documents)
 
-    def find(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-        skip: int = 0,
-        limit: int = 0,
-        batch_size: int | None = None,
-        hint: str | Mapping[str, Any] | Sequence[Any] | None = None,
-    ) -> Cursor:
-        """Return a lazy cursor whose spec is pushed down to the shards.
+    def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
+        return self._router.count_documents(self._database_name, self.name, query)
 
-        The same :class:`Cursor` type as the stand-alone collection: chained
-        options refine the spec, and only the first iteration sends the
-        complete spec through the router.
-        """
-        spec = FindSpec.create(
-            filter=query,
-            projection=projection,
-            sort=sort,
-            skip=skip,
-            limit=limit,
-            batch_size=batch_size,
-            hint=hint,
-        )
-        return Cursor(
-            lambda final_spec: self._router.execute_find(
-                self._database_name, self.name, final_spec
-            ),
-            spec=spec,
-            explain=self.explain,
-        )
+    def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
+        return self._router.distinct(self._database_name, self.name, key, query)
 
-    def find_one(
-        self,
-        query: Mapping[str, Any] | None = None,
-        projection: Mapping[str, Any] | None = None,
-        *,
-        sort: str | Sequence[tuple[str, int]] | Mapping[str, int] | None = None,
-    ) -> dict[str, Any] | None:
-        for document in self.find(query, projection, sort=sort, limit=1):
-            return document
-        return None
+    def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
+        return self._router.aggregate(self._database_name, self.name, pipeline)
 
     def explain(
         self,
@@ -1308,55 +1318,25 @@ class RoutedCollection:
             self._database_name, self.name, explain_target(query_or_pipeline), verbosity
         )
 
-    def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
-        return self._router.count_documents(self._database_name, self.name, query)
-
-    def distinct(self, key: str, query: Mapping[str, Any] | None = None) -> list[Any]:
-        return self._router.distinct(self._database_name, self.name, key, query)
-
-    def update_one(
+    def create_index(
         self,
-        query: Mapping[str, Any] | None,
-        update: Mapping[str, Any],
+        keys: str | Sequence[tuple[str, Any]] | Mapping[str, Any],
         *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        return self._router.update_one(self._database_name, self.name, query, update, upsert=upsert)
-
-    def update_many(
-        self,
-        query: Mapping[str, Any] | None,
-        update: Mapping[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        return self._router.update_many(self._database_name, self.name, query, update, upsert=upsert)
-
-    def delete_many(self, query: Mapping[str, Any] | None) -> DeleteResult:
-        return self._router.delete_many(self._database_name, self.name, query)
-
-    def delete_one(self, query: Mapping[str, Any] | None) -> DeleteResult:
-        # Routed deletes are idempotent per shard; emulate delete_one by
-        # deleting the first match found across the targeted shards.
-        document = self.find_one(query)
-        if document is None:
-            return DeleteResult(deleted_count=0)
-        return self._router.delete_many(self._database_name, self.name, {"_id": document["_id"]})
-
-    def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        return self._router.aggregate(self._database_name, self.name, pipeline)
-
-    def create_index(self, keys: Any, *, unique: bool = False, name: str = "") -> str:
+        unique: bool = False,
+        name: str = "",
+    ) -> str:
         """Create an index cluster-wide; accepts structured specs like
         ``{"keys": ["embedding"], "type": "vector", "dims": 8}``."""
-        return self._router.create_index(self._database_name, self.name, keys, unique=unique, name=name)
+        return self._router.create_index(
+            self._database_name, self.name, keys, unique=unique, name=name
+        )
 
     def list_indexes(self) -> list[dict[str, Any]]:
         """Structured index specs (``Collection.list_indexes`` analogue)."""
         return self._router.list_indexes(self._database_name, self.name)
 
-    def drop_index(self, index_name: str) -> None:
-        self._router.drop_index(self._database_name, self.name, index_name)
+    def drop_index(self, name: str) -> None:
+        self._router.drop_index(self._database_name, self.name, name)
 
     def drop(self) -> None:
         self._router.drop_collection(self._database_name, self.name)

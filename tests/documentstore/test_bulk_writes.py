@@ -198,6 +198,30 @@ class TestIndexBulkOperations:
             index.bulk_insert([(2, {"v": 4}), (3, {"v": 5})])
         assert list(index.scan()) == [((5,), 1)]
 
+    def test_small_batch_into_large_index_bisects_in_place(self):
+        # Few keys into a large index take the in-place path; order, rollback
+        # and unique checks must match the merge and sequential paths.
+        base = [(i, {"v": i % 97, "tags": [i % 3]}) for i in range(1, 1001)]
+        batch = [(2001, {"v": 5, "tags": [1, 2]}), (2002, {"v": 50}), (2003, {"v": 5})]
+        for field in ("v", "tags"):
+            index = Index(IndexSpec.from_key_specification(field))
+            index.bulk_insert(base)
+            before, safe_before = list(index.scan()), index.order_safe
+            undo = index.bulk_insert(batch)
+            sequential = Index(IndexSpec.from_key_specification(field))
+            for doc_id, document in base + batch:
+                sequential.insert(document, doc_id)
+            assert list(index.scan()) == list(sequential.scan())
+            undo.rollback()
+            assert (list(index.scan()), index.order_safe) == (before, safe_before)
+
+        unique = Index(IndexSpec.from_key_specification("u", unique=True))
+        unique.bulk_insert([(i, {"u": 2 * i}) for i in range(1, 1001)])
+        before = list(unique.scan())
+        with pytest.raises(DuplicateKeyError):
+            unique.bulk_insert([(2001, {"u": 3}), (2002, {"u": 4})])
+        assert list(unique.scan()) == before
+
     def test_rollback_restores_order_unsafe_count(self):
         index = Index(IndexSpec.from_key_specification("tags"))
         undo = index.bulk_insert([(1, {"tags": [1, 2]})])

@@ -10,15 +10,21 @@ be at least the router's simulated shipping estimate for the same query.
 from __future__ import annotations
 
 import datetime as dt
+import socket
 import time
 
 import pytest
 
 from repro.documentstore import ObjectId
 from repro.documentstore.errors import DuplicateKeyError, OperationFailure
-from repro.server import ConnectionFailure, DocumentStoreServer, RemoteClient
-
-from .conftest import DOCS
+from repro.server import (
+    ConnectionFailure,
+    DocumentStoreServer,
+    Opcode,
+    RemoteClient,
+    encode_frame,
+    recv_frame,
+)
 
 
 def stripped(docs):
@@ -164,6 +170,54 @@ class TestErrorsOverTheWire:
     def test_invalid_filter_operator(self, remote):
         with pytest.raises(OperationFailure):
             remote.find({"amount": {"$frob": 1}}).to_list()
+
+
+NAMESPACE = {"db": "shop", "collection": "orders"}
+
+
+class TestMalformedFrames:
+    """A malformed request gets a structured error and the session lives on."""
+
+    @pytest.mark.parametrize(
+        "opcode, payload",
+        [
+            (Opcode.UPDATE_ONE, {**NAMESPACE, "filter": {"order_id": 1}}),
+            (Opcode.INSERT_MANY, {"collection": "orders", "documents": [{"order_id": 1}]}),
+            (Opcode.DISTINCT, {**NAMESPACE, "filter": None}),
+            (Opcode.GET_MORE, {"cursor_id": "x"}),
+            (Opcode.COMMAND, {"db": "shop", "command": {"createIndexes": "orders", "keys": 5}}),
+            (Opcode.FIND, {**NAMESPACE, "spec": {"sort": 3}}),
+            (Opcode.FIND, {**NAMESPACE, "spec": {"skip": "x"}}),
+            (Opcode.AGGREGATE, {**NAMESPACE, "pipeline": {"$match": {}}}),
+            (Opcode.COMMAND, {"db": "shop", "command": {"listIndexes": 5}}),
+            (Opcode.COMMAND, {"db": "shop", "command": {"dropIndexes": "orders"}}),
+            (Opcode.COMMAND, {"db": "shop", "command": {"explain": "orders", "pipeline": 5}}),
+            (Opcode.AGGREGATE, {**NAMESPACE, "pipeline": [], "batch_size": -1}),
+        ],
+        ids=[
+            "update_one-without-update",
+            "insert_many-without-db",
+            "distinct-without-key",
+            "get_more-bad-cursor-id",
+            "create_indexes-legacy-keys",
+            "find-sort-not-a-list",
+            "find-skip-not-an-int",
+            "aggregate-pipeline-not-a-list",
+            "list_indexes-collection-not-a-string",
+            "drop_indexes-without-index",
+            "explain-pipeline-not-a-list",
+            "aggregate-negative-batch-size",
+        ],
+    )
+    def test_structured_error_then_ping(self, server, opcode, payload):
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(encode_frame(opcode, 1, payload))
+            reply = recv_frame(sock)
+            assert reply.opcode == Opcode.ERROR
+            assert reply.document["code"] == "OperationFailure"
+            sock.sendall(encode_frame(Opcode.COMMAND, 2, {"db": "admin", "command": {"ping": 1}}))
+            pong = recv_frame(sock)
+            assert (pong.opcode, pong.request_id, pong.document) == (Opcode.REPLY, 2, {"ok": 1.0})
 
 
 class TestObservability:
